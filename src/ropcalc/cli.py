@@ -20,6 +20,7 @@ from .collision import (
     AUTO,
     DomainError,
     IterationBudgetError,
+    _is_guaranteed_repeat,
     as_space_size,
     collision_probability,
 )
@@ -83,123 +84,87 @@ def parse_count_expr(text: str) -> int:
     return int(value)
 
 
-def _space_arg(text):
-    try:
-        return parse_space_expr(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+def _arg_type(parse):
+    # argparse prints an ArgumentTypeError's own message; a ValueError would
+    # only give "invalid value".
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return convert
 
 
-def _count_arg(text):
-    try:
-        return parse_count_expr(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+_space_arg = _arg_type(parse_space_expr)
+_count_arg = _arg_type(parse_count_expr)
 
 
-def _json_float(x):
-    # strict JSON has no Infinity; a guaranteed repeat reports null
-    return None if math.isinf(x) else x
+def _emit(fmt, payload, columns, text):
+    """Print ``payload`` (a dict or a list of row dicts) as json, the
+    ``columns`` of each row as csv, or the ``text`` lines.
 
-
-def _print_json(payload):
-    print(json.dumps(payload))
-
-
-def _print_csv(header, rows):
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _result_payload(result, note):
-    return {
-        "probability": result.probability,
-        "log_survival": _json_float(result.log_survival),
-        "method": result.method,
-        "order": result.order,
-        "error_bound": result.abs_error_bound,
-        "note": note,
-    }
+    Floats keep their repr.  Strict JSON has no Infinity, so a guaranteed
+    repeat's -inf becomes null there; csv writes -inf, and None as empty.
+    """
+    rows = payload if isinstance(payload, list) else [payload]
+    if fmt == "json":
+        rows = [{k: None if v == -math.inf else v for k, v in row.items()} for row in rows]
+        print(json.dumps(rows if isinstance(payload, list) else rows[0]))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
+    else:
+        for line in text:
+            print(line)
 
 
 def _cmd_prob(args):
     space = as_space_size(args.space)
     result = collision_probability(space, args.population, args.method, order=args.order)
     note = None
-    guaranteed = (
-        args.population >= space.exact + 1
-        if space.exact is not None
-        else args.population >= space.value + 1.0
-    )
-    if guaranteed:
+    if _is_guaranteed_repeat(space, args.population):
         note = "pigeonhole: population exceeds the number of distinct values"
-    if args.format == "json":
-        _print_json(_result_payload(result, note))
-    elif args.format == "csv":
-        _print_csv(
-            ["probability", "log_survival", "method", "order", "error_bound", "note"],
-            [[
-                repr(result.probability),
-                repr(result.log_survival),
-                result.method,
-                "" if result.order is None else result.order,
-                repr(result.abs_error_bound),
-                note or "",
-            ]],
-        )
-    else:
-        print(f"probability: {result.probability!r} ({format_percent(result.probability)})")
-        print(f"log survival: {result.log_survival!r}")
-        print(f"method: {result.method}" + ("" if result.order is None else f" (order {result.order})"))
-        print(f"error bound: {result.abs_error_bound:.6g}")
-        if note:
-            print(f"note: {note}")
-    return 0
+    payload = {
+        "probability": result.probability,
+        "log_survival": result.log_survival,
+        "method": result.method,
+        "order": result.order,
+        "error_bound": result.abs_error_bound,
+        "note": note,
+    }
+    text = [
+        f"probability: {result.probability!r} ({format_percent(result.probability)})",
+        f"log survival: {result.log_survival!r}",
+        f"method: {result.method}" + ("" if result.order is None else f" (order {result.order})"),
+        f"error bound: {result.abs_error_bound:.6g}",
+    ]
+    if note:
+        text.append(f"note: {note}")
+    _emit(args.format, payload, list(payload), text)
 
 
 def _cmd_solve_p(args):
     space = as_space_size(args.space)
     p = solve_population(space, args.target)
     attained = collision_probability(space, p).probability
-    if args.format == "json":
-        _print_json({
-            "space": space.value,
-            "target": args.target,
-            "population": p,
-            "probability": attained,
-        })
-    elif args.format == "csv":
-        _print_csv(
-            ["space", "target", "population", "probability"],
-            [[repr(space.value), repr(args.target), p, repr(attained)]],
-        )
-    else:
-        print(f"population: {p:,}")
-        print(f"probability there: {attained!r}")
-    return 0
+    payload = {"space": space.value, "target": args.target, "population": p, "probability": attained}
+    text = [f"population: {p:,}", f"probability there: {attained!r}"]
+    _emit(args.format, payload, list(payload), text)
 
 
 def _cmd_solve_t(args):
     population = args.population if args.population is not None else args.phi
     space = solve_space(population, SolveTarget(args.target, args.tolerance))
     attained = collision_probability(space, population).probability
-    if args.format == "json":
-        _print_json({
-            "population": population,
-            "target": args.target,
-            "space": space.value,
-            "probability": attained,
-        })
-    elif args.format == "csv":
-        _print_csv(
-            ["population", "target", "space", "probability"],
-            [[population, repr(args.target), repr(space.value), repr(attained)]],
-        )
-    else:
-        print(f"space size: {space.value:.5e}")
-        print(f"probability there: {attained!r}")
-    return 0
+    payload = {
+        "population": population,
+        "target": args.target,
+        "space": space.value,
+        "probability": attained,
+    }
+    text = [f"space size: {space.value:.5e}", f"probability there: {attained!r}"]
+    _emit(args.format, payload, list(payload), text)
 
 
 def _load_dataset(spec_text, delimiter):
@@ -211,32 +176,23 @@ def _load_dataset(spec_text, delimiter):
 def _cmd_rop_table(args):
     records = _load_dataset(args.dataset, args.delimiter)
     entries = rop_table(records, as_space_size(args.space))
-    if args.format == "json":
-        _print_json([
-            {
-                "name": e.record.name,
-                "population": e.record.population,
-                "probability": e.result.probability,
-                "log_survival": _json_float(e.result.log_survival),
-                "display": e.display,
-            }
-            for e in entries
-        ])
-    elif args.format == "csv":
-        _print_csv(
-            ["name", "population", "probability", "display"],
-            [
-                [e.record.name, e.record.population, repr(e.result.probability), e.display]
-                for e in entries
-            ],
-        )
-    else:
-        name_w = max(len("name"), max(len(e.record.name) for e in entries))
-        pop_w = max(len("population"), max(len(f"{e.record.population:,}") for e in entries))
-        print(f"{'name':<{name_w}}  {'population':>{pop_w}}  overlap")
-        for e in entries:
-            print(f"{e.record.name:<{name_w}}  {e.record.population:>{pop_w},}  {e.display}")
-    return 0
+    payload = [
+        {
+            "name": e.record.name,
+            "population": e.record.population,
+            "probability": e.result.probability,
+            "log_survival": e.result.log_survival,
+            "display": e.display,
+        }
+        for e in entries
+    ]
+    name_w = max(len("name"), max(len(e.record.name) for e in entries))
+    pop_w = max(len("population"), max(len(f"{e.record.population:,}") for e in entries))
+    text = [f"{'name':<{name_w}}  {'population':>{pop_w}}  overlap"] + [
+        f"{e.record.name:<{name_w}}  {e.record.population:>{pop_w},}  {e.display}"
+        for e in entries
+    ]
+    _emit(args.format, payload, ["name", "population", "probability", "display"], text)
 
 
 def _cmd_curve(args):
@@ -245,19 +201,12 @@ def _cmd_curve(args):
         raise DomainError(f"need at least 2 samples, got {args.samples}")
     if args.p_max < 1:
         raise DomainError(f"--p-max must be at least 1, got {args.p_max}")
-    pairs = []
+    payload = []
     for i in range(args.samples):
         p = round(i * args.p_max / (args.samples - 1))
-        prob = collision_probability(space, p).probability
-        pairs.append((p, prob))
-    if args.format == "json":
-        _print_json([{"population": p, "probability": b} for p, b in pairs])
-    elif args.format == "csv":
-        _print_csv(["population", "probability"], [[p, repr(b)] for p, b in pairs])
-    else:
-        for p, b in pairs:
-            print(f"{p}\t{b!r}")
-    return 0
+        payload.append({"population": p, "probability": collision_probability(space, p).probability})
+    text = [f"{row['population']}\t{row['probability']!r}" for row in payload]
+    _emit(args.format, payload, ["population", "probability"], text)
 
 
 def _add_format(parser):
@@ -344,13 +293,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (DomainError, IngestError, IterationBudgetError) as err:
+        args.func(args)
+    except (DomainError, IngestError, IterationBudgetError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return _DOMAIN_EXIT
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _DOMAIN_EXIT
+    return 0
 
 
 if __name__ == "__main__":

@@ -111,8 +111,9 @@ class SpaceSize:
     ``value`` is the real-valued size, supported up to 1e30.  ``exact``
     carries the integer form when the size is an integer small enough
     (at most 2**63 - 1) to round-trip through a float exactly; it is None
-    otherwise.  The exact form makes threshold comparisons (for the
-    guaranteed-repeat cutoff) free of float rounding.
+    otherwise.  The guaranteed-repeat cutoff does not need it: that test
+    compares the integer population with ``value``, which Python does
+    exactly at every size.
     """
 
     value: float
@@ -144,16 +145,12 @@ def as_space_size(t) -> SpaceSize:
             raise DomainError(f"space size must be >= 1, got {t}")
         if t > int(MAX_SPACE):
             raise DomainError(f"space size {t} exceeds the supported maximum 1e30")
-        exact = t if t <= _MAX_EXACT_INT and float(t) == t else None
-        return SpaceSize(float(t), exact)
-    if isinstance(t, float):
-        exact = None
-        if math.isfinite(t) and t.is_integer() and t <= float(_MAX_EXACT_INT):
-            candidate = int(t)
-            if candidate <= _MAX_EXACT_INT and float(candidate) == t:
-                exact = candidate
-        return SpaceSize(t, exact)
-    raise DomainError(f"space size must be int, float, or SpaceSize, got {type(t).__name__}")
+    elif not isinstance(t, float):
+        raise DomainError(f"space size must be int, float, or SpaceSize, got {type(t).__name__}")
+    value = float(t)
+    # value == t holds for an int only when the float keeps it exactly
+    whole = value.is_integer() and value <= _MAX_EXACT_INT and value == t
+    return SpaceSize(value, int(value) if whole else None)
 
 
 def _as_count(p, what="population") -> int:
@@ -211,27 +208,32 @@ def pair_count(n) -> int:
 
 
 def _is_guaranteed_repeat(space: SpaceSize, p: int) -> bool:
-    # With p >= t + 1 draws over t values a repeat is forced.
-    if space.exact is not None:
-        return p >= space.exact + 1
-    return p >= space.value + 1.0
+    # p draws over t values force a repeat once p - 1 >= t.  Python compares
+    # an int with a float exactly, so this holds at every size; the float
+    # form p >= t + 1.0 fails above 2**53, where t + 1.0 == t.
+    return p - 1 >= space.value
+
+
+def _neumaier(total: float, comp: float, x: float) -> "tuple[float, float]":
+    """One Neumaier compensated-sum step: add x to the running (total, comp).
+
+    The final sum is total + comp (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 4.3).
+    """
+    s = total + x
+    if abs(total) >= abs(x):
+        comp += (total - s) + x
+    else:
+        comp += (x - s) + total
+    return s, comp
 
 
 def _survival_log_product(t: float, p: int) -> float:
     """Sum of log1p(-n/t) for n in [1, p-1] with fixed-block compensation."""
-    total = 0.0
-    comp = 0.0
+    total = comp = 0.0
     for start in range(1, p, _BLOCK):
-        stop = min(p, start + _BLOCK)
-        n = np.arange(start, stop, dtype=np.float64)
-        part = float(np.sum(np.log1p(-(n / t))))
-        # Neumaier update keeps the running error of the block partials
-        s = total + part
-        if abs(total) >= abs(part):
-            comp += (total - s) + part
-        else:
-            comp += (part - s) + total
-        total = s
+        n = np.arange(start, min(p, start + _BLOCK), dtype=np.float64)
+        total, comp = _neumaier(total, comp, float(np.sum(np.log1p(-(n / t)))))
     return total + comp
 
 
@@ -247,7 +249,7 @@ def survival_log_exact(t, p, *, budget: int = DEFAULT_EXACT_BUDGET) -> float:
     p = _as_count(p)
     if p < 2:
         raise DomainError(f"need at least 2 draws for a repeat, got {p}")
-    if not (p - 1 < space.value):
+    if _is_guaranteed_repeat(space, p):
         raise DomainError(
             f"population {p} leaves no free values in a space of {space.value!r}; "
             "a repeat is guaranteed there"
@@ -331,51 +333,9 @@ def _series_term(k: int, m: int, t: float, log_t: float) -> float:
     return math.exp(_log_int(s) - math.log(k) - k * log_t)
 
 
-def _series_scan(t: float, p: int, order: int):
-    """Series terms 1..order plus the first omitted term.
-
-    Returns (value, first_omitted, ratio) where value is the log-survival
-    estimate and ratio = p/t feeds the geometric tail factor.
-    """
-    m = p - 1
-    log_t = math.log(t)
-    total = 0.0
-    comp = 0.0
-    for k in range(1, order + 1):
-        term = _series_term(k, m, t, log_t)
-        s = total + term
-        if abs(total) >= abs(term):
-            comp += (total - s) + term
-        else:
-            comp += (term - s) + total
-        total = s
-    omitted = _series_term(order + 1, m, t, log_t)
-    return -(total + comp), omitted
-
-
-def survival_log_series(t, p, order: int) -> "tuple[float, float]":
-    """Log of the no-repeat probability via the truncated power series.
-
-    Returns ``(value, abs_error_bound)`` where the bound is the magnitude
-    of the first omitted term times the geometric safety factor
-    1 / (1 - p/t).  Certified only for p/t < 1/2; larger ratios are
-    refused.  ``order`` must be at least 2.  Cost does not grow with p.
-    """
-    space = as_space_size(t)
-    p = _as_count(p)
+def _check_order(order) -> None:
     if not isinstance(order, int) or isinstance(order, bool) or order < 2:
         raise DomainError(f"series order must be an integer >= 2, got {order!r}")
-    ratio = p / space.value
-    if ratio >= _SERIES_MAX_RATIO:
-        raise SeriesBoundError(
-            f"series bound is not certified for p/t = {ratio:.3g} >= 1/2; "
-            "use the exact method"
-        )
-    if p <= 1:
-        return 0.0, 0.0
-    value, omitted = _series_scan(space.value, p, order)
-    bound = omitted / (1.0 - ratio)
-    return value, bound
 
 
 def _prob_bound(v: float, tail: float) -> float:
@@ -395,14 +355,16 @@ def _prob_bound(v: float, tail: float) -> float:
     return min(1.0, (tail + slack) * scale + _FINAL_ROUNDING)
 
 
-def _series_result(space: SpaceSize, p: int, order=None) -> EvalResult:
-    """Series evaluation wrapped into an EvalResult.
+def _series_scan(t: float, p: int, order=None):
+    """Series terms 1..k plus the first omitted term.
 
-    With ``order=None`` the order is grown adaptively until the reported
+    Refuses p/t >= 1/2, where the geometric tail bound is not certified.
+    A fixed ``order`` sets k.  With ``order=None`` k grows from 2 until the
     probability bound drops below _AUTO_BOUND_TARGET (always reachable for
-    p/t < 1/2, usually by order 2 or 3).
+    p/t < 1/2, usually by order 2 or 3).  Returns (value, omitted, bound, k):
+    the log-survival estimate, the first omitted term, the probability
+    bound, and the order.
     """
-    t = space.value
     ratio = p / t
     if ratio >= _SERIES_MAX_RATIO:
         raise SeriesBoundError(
@@ -412,29 +374,38 @@ def _series_result(space: SpaceSize, p: int, order=None) -> EvalResult:
     m = p - 1
     log_t = math.log(t)
     geom = 1.0 / (1.0 - ratio)
-    if order is not None:
-        value, omitted = _series_scan(t, p, order)
-        return _result_from_log(
-            value, SERIES, _prob_bound(value, omitted * geom), order
-        )
-    total = 0.0
-    comp = 0.0
-    k = 0
+    # Starting the sum at term 1 with no compensation is bit-identical to a
+    # Neumaier step from zero.
+    total, comp = _series_term(1, m, t, log_t), 0.0
+    omitted = _series_term(2, m, t, log_t)
+    k = 1
     while True:
         k += 1
-        term = _series_term(k, m, t, log_t)
-        s = total + term
-        if abs(total) >= abs(term):
-            comp += (total - s) + term
-        else:
-            comp += (term - s) + total
-        total = s
-        if k >= 2:
-            omitted = _series_term(k + 1, m, t, log_t)
-            v = -(total + comp)
-            bound = _prob_bound(v, omitted * geom)
-            if bound < _AUTO_BOUND_TARGET or k >= 512:
-                return _result_from_log(v, SERIES, bound, k)
+        total, comp = _neumaier(total, comp, omitted)
+        omitted = _series_term(k + 1, m, t, log_t)
+        if order is not None and k < order:
+            continue
+        value = -(total + comp)
+        bound = _prob_bound(value, omitted * geom)
+        if order is not None or bound < _AUTO_BOUND_TARGET or k >= 512:
+            return value, omitted, bound, k
+
+
+def survival_log_series(t, p, order: int) -> "tuple[float, float]":
+    """Log of the no-repeat probability via the truncated power series.
+
+    Returns ``(value, abs_error_bound)`` where the bound is the magnitude
+    of the first omitted term times the geometric safety factor
+    1 / (1 - p/t).  Certified only for p/t < 1/2; larger ratios are
+    refused.  ``order`` must be at least 2.  Cost does not grow with p.
+    """
+    space = as_space_size(t)
+    p = _as_count(p)
+    _check_order(order)
+    value, omitted, _, _ = _series_scan(space.value, p, order)  # refuses p/t >= 1/2 first
+    if p <= 1:
+        return 0.0, 0.0
+    return value, omitted / (1.0 - p / space.value)
 
 
 def collision_probability(
@@ -458,31 +429,26 @@ def collision_probability(
     if order is not None:
         if method == EXACT:
             raise DomainError("order only applies to the series method")
-        if not isinstance(order, int) or isinstance(order, bool) or order < 2:
-            raise DomainError(f"series order must be an integer >= 2, got {order!r}")
+        _check_order(order)
 
     if p <= 1:
         return _result_from_log(0.0, EXACT, 0.0)
     if _is_guaranteed_repeat(space, p):
         return _result_from_log(-math.inf, EXACT, 0.0)
 
-    if method == EXACT:
-        v = survival_log_exact(space, p, budget=exact_budget)
-        return _result_from_log(v, EXACT, 0.0)
-    if method == SERIES:
-        return _series_result(space, p, order)
+    if method == AUTO:
+        # Over the budget only the series is left; within it the O(p) walk
+        # pays off unless p/t is tiny.
+        ratio = p / space.value
+        if p - 1 > exact_budget and ratio >= _SERIES_MAX_RATIO:
+            raise IterationBudgetError(
+                f"population {p} is over the exact budget of {exact_budget} and "
+                f"p/t = {ratio:.3g} is too large for the certified series; "
+                "raise exact_budget to force the product evaluation"
+            )
+        method = SERIES if p - 1 > exact_budget or ratio <= _AUTO_SERIES_RATIO else EXACT
 
-    # auto
-    ratio = p / space.value
-    if p - 1 > exact_budget:
-        if ratio < _SERIES_MAX_RATIO:
-            return _series_result(space, p, order)
-        raise IterationBudgetError(
-            f"population {p} is over the exact budget of {exact_budget} and "
-            f"p/t = {ratio:.3g} is too large for the certified series; "
-            "raise exact_budget to force the product evaluation"
-        )
-    if ratio <= _AUTO_SERIES_RATIO:
-        return _series_result(space, p, order)
-    v = _survival_log_product(space.value, p)
-    return _result_from_log(v, EXACT, 0.0)
+    if method == EXACT:
+        return _result_from_log(survival_log_exact(space, p, budget=exact_budget), EXACT, 0.0)
+    value, _, bound, k = _series_scan(space.value, p, order)
+    return _result_from_log(value, SERIES, bound, k)

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .collision import (
+    MAX_SPACE,
     DomainError,
     SpaceSize,
     as_space_size,
@@ -85,16 +86,11 @@ def solve_population(t, target) -> int:
         raise DomainError("population solves need a space of at least 2 values")
     goal = _as_target(target).target_prob
 
-    # The guaranteed-repeat cutoff bounds the search: probability is 1 there.
-    if space.exact is not None:
-        cap = space.exact + 1
-    else:
-        cap = math.ceil(space.value + 1.0)
+    # The guaranteed-repeat cutoff bounds the search: probability is 1 there,
+    # at the first p with p - 1 >= t.
+    cap = math.ceil(space.value) + 1
 
-    hi = 2
-    if _prob(space, hi) >= goal:
-        return hi
-    lo = hi
+    lo = hi = 1  # probability is 0 at p = 1
     while True:
         hi = min(hi * 2, cap)
         if _prob(space, hi) >= goal:
@@ -117,8 +113,10 @@ def solve_space(p, target) -> SpaceSize:
 
     A closed-form seed t0 = pair_count(p) / (-log(1 - target)) comes from
     the pair-counting approximation and lands within a factor of ~2 of the
-    root, so [t0/4, 4*t0] brackets it.  Bisection then proceeds on log t
-    until the bracket is relatively tighter than the tolerance.
+    root, so [t0/4, 4*t0], clamped to the supported maximum 1e30, brackets
+    it.  Bisection then proceeds on log t until the bracket is relatively
+    tighter than the tolerance.  Raises DomainError when even a space of
+    1e30 leaves the probability above the target.
     """
     p = _as_count(p)
     if p < 2:
@@ -127,8 +125,8 @@ def solve_space(p, target) -> SpaceSize:
     x = goal.target_prob
 
     t0 = pair_count(p) / (-math.log1p(-x))
-    lo = max(1.0, t0 / 4.0)
-    hi = max(4.0 * t0, 2.0)
+    lo = min(max(1.0, t0 / 4.0), MAX_SPACE)
+    hi = min(max(4.0 * t0, 2.0), MAX_SPACE)
     for _ in range(_MAX_BISECT):
         if _prob(lo, p) >= x:
             break
@@ -136,10 +134,13 @@ def solve_space(p, target) -> SpaceSize:
         if lo <= 1.0:
             lo = 1.0
             break
-    for _ in range(_MAX_BISECT):
-        if _prob(hi, p) <= x:
-            break
-        hi *= 4.0
+    while _prob(hi, p) > x:  # ends by 1e30, where it refuses
+        if hi == MAX_SPACE:
+            raise DomainError(
+                f"population {p} repeats with probability above {x!r} even in a space "
+                "of 1e30, the supported maximum"
+            )
+        hi = min(hi * 4.0, MAX_SPACE)
     # invariant: prob(lo) >= x >= prob(hi)  (probability falls as t grows)
     for _ in range(_MAX_BISECT):
         if hi - lo <= goal.tolerance * lo:

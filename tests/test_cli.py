@@ -301,3 +301,90 @@ class TestExitCodes:
     def test_no_subcommand_is_two(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+
+# Expected stdout of every subcommand in every format, frozen as literals
+# so that a change to the output code must reproduce each byte.  The
+# rop-table rows come from _TOWNS, written to a temporary file.
+_TOWNS = 'name,population\nSmallville,30\n"Springfield, IL",45\nMetropolis,2000\n'
+
+_GOLDEN = [
+    (["prob", "-t", "365", "-p", "23"], {
+        "text": "probability: 0.5072972343239854 (50.73%)\nlog survival: -0.7078491961416731\n"
+                "method: exact\nerror bound: 0\n",
+        "csv": "probability,log_survival,method,order,error_bound,note\n"
+               "0.5072972343239854,-0.7078491961416731,exact,,0.0,\n",
+        "json": '{"probability": 0.5072972343239854, "log_survival": -0.7078491961416731, '
+                '"method": "exact", "order": null, "error_bound": 0.0, "note": null}\n',
+    }),
+    (["prob", "-t", "2^47", "-p", "1.4e7", "--method", "series", "--order", "3"], {
+        "text": "probability: 0.5015898040708131 (50.16%)\nlog survival: -0.6963318543963382\n"
+                "method: series (order 3)\nerror bound: 8.50469e-14\n",
+        "csv": "probability,log_survival,method,order,error_bound,note\n"
+               "0.5015898040708131,-0.6963318543963382,series,3,8.504690922523748e-14,\n",
+        "json": '{"probability": 0.5015898040708131, "log_survival": -0.6963318543963382, '
+                '"method": "series", "order": 3, "error_bound": 8.504690922523748e-14, '
+                '"note": null}\n',
+    }),
+    (["prob", "-t", "10", "-p", "11"], {
+        "text": "probability: 1.0 (≈ 100%)\nlog survival: -inf\nmethod: exact\n"
+                "error bound: 0\nnote: pigeonhole: population exceeds the number of distinct values\n",
+        "csv": "probability,log_survival,method,order,error_bound,note\n"
+               "1.0,-inf,exact,,0.0,pigeonhole: population exceeds the number of distinct values\n",
+        "json": '{"probability": 1.0, "log_survival": null, "method": "exact", "order": null, '
+                '"error_bound": 0.0, '
+                '"note": "pigeonhole: population exceeds the number of distinct values"}\n',
+    }),
+    (["solve-p", "-t", "365", "--target", "0.5"], {
+        "text": "population: 23\nprobability there: 0.5072972343239854\n",
+        "csv": "space,target,population,probability\n365.0,0.5,23,0.5072972343239854\n",
+        "json": '{"space": 365.0, "target": 0.5, "population": 23, '
+                '"probability": 0.5072972343239854}\n',
+    }),
+    (["solve-t", "-p", "1000", "--target", "0.5"], {
+        "text": "space size: 7.20959e+05\nprobability there: 0.49999999992386607\n",
+        "csv": "population,target,space,probability\n"
+               "1000,0.5,720959.4167795692,0.49999999992386607\n",
+        "json": '{"population": 1000, "target": 0.5, "space": 720959.4167795692, '
+                '"probability": 0.49999999992386607}\n',
+    }),
+    (["rop-table", "-t", "1000", "--dataset", "TOWNS"], {
+        "text": "name             population  overlap\n"
+                "Smallville               30  35.55%\n"
+                "Springfield, IL          45  63.40%\n"
+                "Metropolis            2,000  ≈ 100%\n",
+        "csv": "name,population,probability,display\n"
+               "Smallville,30,0.3555394788027867,35.55%\n"
+               '"Springfield, IL",45,0.6339629380712265,63.40%\n'
+               "Metropolis,2000,1.0,≈ 100%\n",
+        "json": '[{"name": "Smallville", "population": 30, "probability": 0.3555394788027867, '
+                '"log_survival": -0.4393417134096781, "display": "35.55%"}, '
+                '{"name": "Springfield, IL", "population": 45, "probability": 0.6339629380712265, '
+                '"log_survival": -1.0050206886069573, "display": "63.40%"}, '
+                '{"name": "Metropolis", "population": 2000, "probability": 1.0, '
+                '"log_survival": null, "display": "\\u2248 100%"}]\n',
+    }),
+    (["curve", "-t", "365", "--p-max", "30", "--samples", "4"], {
+        "text": "0\t0.0\n10\t0.11694817771107766\n20\t0.41143838358058005\n30\t0.7063162427192687\n",
+        "csv": "population,probability\n0,0.0\n10,0.11694817771107766\n"
+               "20,0.41143838358058005\n30,0.7063162427192687\n",
+        "json": '[{"population": 0, "probability": 0.0}, '
+                '{"population": 10, "probability": 0.11694817771107766}, '
+                '{"population": 20, "probability": 0.41143838358058005}, '
+                '{"population": 30, "probability": 0.7063162427192687}]\n',
+    }),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize(
+        "argv, expected", _GOLDEN, ids=[f"{a[0]}-{i}" for i, (a, _) in enumerate(_GOLDEN)]
+    )
+    def test_stdout_is_byte_identical(self, capsys, tmp_path, argv, expected, fmt):
+        towns = tmp_path / "towns.csv"
+        towns.write_text(_TOWNS, encoding="utf-8")
+        argv = [str(towns) if a == "TOWNS" else a for a in argv]
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert out == expected[fmt]

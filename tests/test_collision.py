@@ -210,6 +210,15 @@ class TestSurvivalLogSeries:
         assert survival_log_series(365, 1, order=4) == (0.0, 0.0)
         assert survival_log_series(365, 0, order=4) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("t, p, k", [
+        (365, 23, 6), (2**36, 467_963, 2), (2**47, 14_000_000, 3), (1e20, 10**6, 40),
+    ])
+    def test_same_value_as_collision_probability(self, t, p, k):
+        # both public entry points run the same scan, bit for bit
+        v, _ = survival_log_series(t, p, k)
+        r = collision_probability(t, p, "series", order=k)
+        assert v.hex() == r.log_survival.hex()
+
 
 class TestCollisionProbability:
     def test_classic_birthday_number(self):
@@ -267,6 +276,16 @@ class TestCollisionProbability:
         # would take hours if it walked the factors
         r = collision_probability(10**12, 10**12 + 7)
         assert r.probability == 1.0
+
+    @pytest.mark.parametrize("t, p", [(2**70, 2**70), (1e20, 10**20)])
+    def test_pigeonhole_edge_above_2_pow_63(self, t, p):
+        # p = t draws leave one free value, so no repeat is forced; t + 1.0
+        # rounds to t up here, which once reported probability 1 and -inf.
+        # Over the exact budget with p/t = 1 there is no certified route yet.
+        with pytest.raises(IterationBudgetError):
+            collision_probability(t, p)
+        r = collision_probability(t, p + 1)
+        assert r.probability == 1.0 and r.log_survival == -math.inf
 
     def test_methods_agree_within_reported_bound(self, galton_space):
         e = collision_probability(galton_space, 10**6, "exact")

@@ -5,6 +5,7 @@ rational bisection / 50-digit root finding) and frozen as literals.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,11 +13,13 @@ from ropcalc import (
     DEFAULT_WORLD_POPULATION,
     DomainError,
     SolveTarget,
+    as_space_size,
     collision_probability,
     solve_population,
     solve_space,
     space_for_world_overlap,
 )
+from ropcalc import solvers
 
 # frozen: smallest p with B(2^47, p) >= 1/2, found by exact bisection
 P_HALF_2POW47 = 13_967_949
@@ -92,6 +95,16 @@ class TestSolvePopulation:
     def test_accepts_plain_float_target(self):
         assert solve_population(365, 0.5) == 23
 
+    def test_search_cap_is_the_pigeonhole_cutoff_above_2_pow_63(self, monkeypatch):
+        # A forward map that only reports a repeat once one is forced makes
+        # the search run up to its cap, which must be the first p with
+        # p - 1 >= t: 2**70 + 1, not the rounded float 2**70 + 1.0 == 2**70.
+        def forced_only(t, p):
+            return SimpleNamespace(probability=1.0 if p - 1 >= as_space_size(t).value else 0.0)
+
+        monkeypatch.setattr(solvers, "collision_probability", forced_only)
+        assert solve_population(2**70, 0.5) == 2**70 + 1
+
 
 class TestSolveSpace:
     def test_round_trip_even_odds(self):
@@ -128,6 +141,19 @@ class TestSolveSpace:
     def test_rejects_tiny_population(self):
         with pytest.raises(DomainError):
             solve_space(1, SolveTarget(0.5))
+
+    def test_root_next_to_the_space_ceiling(self):
+        # the seed bracket [t0/4, 4*t0] reaches past 1e30 here; the root does not.
+        # frozen: 50-digit root of the order-2 series, whose next term is ~1e-43
+        t = solve_space(10**12, 1e-6)
+        assert t.value == pytest.approx(4.99999749999458e29, rel=2e-9)
+
+    def test_root_beyond_the_space_ceiling_names_it(self):
+        # the probability at t = 1e30 is ~5e-5, so no supported space reaches 1e-9
+        with pytest.raises(DomainError) as err:
+            solve_space(10**13, 1e-9)
+        assert "1e30" in str(err.value)
+        assert "e+34" not in str(err.value)  # no probe past the maximum
 
     def test_rejects_out_of_range_result(self):
         # even odds among 2 draws needs t == 2; target too extreme pushes
