@@ -20,7 +20,6 @@ from .collision import (
     AUTO,
     DomainError,
     IterationBudgetError,
-    _is_guaranteed_repeat,
     as_space_size,
     collision_probability,
 )
@@ -120,10 +119,9 @@ def _emit(fmt, payload, columns, text):
 
 
 def _cmd_prob(args):
-    space = as_space_size(args.space)
-    result = collision_probability(space, args.population, args.method, order=args.order)
+    result = collision_probability(args.space, args.population, args.method, order=args.order)
     note = None
-    if _is_guaranteed_repeat(space, args.population):
+    if result.log_survival == -math.inf:  # only the pigeonhole short circuit gives -inf
         note = "pigeonhole: population exceeds the number of distinct values"
     payload = {
         "probability": result.probability,

@@ -14,8 +14,9 @@ Two evaluation routes are provided:
   summation over fixed-size blocks.  Cost is O(p).
 * ``survival_log_series`` expands each log1p term as a power series and
   swaps the order of summation, which turns the whole sum into a handful
-  of cumulative power sums evaluated in closed form.  Cost is O(order)
-  regardless of p, and the truncation error carries a certified bound.
+  of cumulative power sums, each computed exactly in integer arithmetic
+  from the lower orders.  Cost grows with the order, not with p, and the
+  truncation error carries a certified bound.
 
 Both routes use fixed partitioning and a fixed reduction order, so results
 are reproducible bit for bit from run to run.  All public functions are
@@ -24,7 +25,6 @@ pure and safe for concurrent use.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -262,54 +262,28 @@ def survival_log_exact(t, p, *, budget: int = DEFAULT_EXACT_BUDGET) -> float:
     return _survival_log_product(space.value, p)
 
 
-# --- closed-form cumulative power sums ------------------------------------
-
-@lru_cache(maxsize=None)
-def _bernoulli_minus(m: int) -> Fraction:
-    # First-kind convention (B_1 = -1/2), classic recurrence.
-    if m == 0:
-        return Fraction(1)
-    if m == 1:
-        return Fraction(-1, 2)
-    if m % 2 == 1:
-        return Fraction(0)
-    acc = Fraction(0)
-    for i in range(m):
-        acc += math.comb(m + 1, i) * _bernoulli_minus(i)
-    return -acc / (m + 1)
-
-
-def _bernoulli_plus(j: int) -> Fraction:
-    # Second-kind convention (B_1 = +1/2) matches sums starting at n = 1.
-    b = _bernoulli_minus(j)
-    return -b if j == 1 else b
-
-
-@lru_cache(maxsize=None)
-def _faulhaber_coefficients(k: int) -> "tuple[Fraction, ...]":
-    # sum_{n=1}^{m} n^k = sum_{j=0}^{k} C(k+1, j) B+_j m^(k+1-j) / (k+1)
-    kp1 = k + 1
-    return tuple(
-        Fraction(math.comb(kp1, j)) * _bernoulli_plus(j) / kp1 for j in range(kp1)
-    )
-
+# --- exact cumulative power sums ------------------------------------------
 
 @lru_cache(maxsize=1 << 14)
 def _power_sum(k: int, m: int) -> int:
-    """Exact sum of n**k for n = 1..m, via the closed-form polynomial.
+    """Exact sum of n**k for n = 1..m (k >= 1), in integer arithmetic.
 
-    No loop over n: the Faulhaber polynomial is evaluated with Horner's
-    rule in exact rational arithmetic, so m may be 1e13 or larger.
+    No loop over n, so m may be 1e13 or larger.  Summing Pascal's identity
+    (n+1)**(k+1) - n**(k+1) = sum_{j=0..k} C(k+1, j) n**j over n = 1..m gives
+    (m+1)**(k+1) - 1 - m = sum_{j=1..k} C(k+1, j) S_j(m), and C(k+1, k) = k+1
+    leaves S_k(m) as the one unknown.  The lower orders S_j come from this
+    function's own cache, so a cold call also computes orders 1..k-1;
+    ``_series_scan`` asks for k = 1, 2, 3, ... in order and pays one new
+    order per term.
     """
     if m <= 0:
         return 0
-    acc = Fraction(0)
-    for c in _faulhaber_coefficients(k):
-        acc = acc * m + c
-    acc *= m
-    if acc.denominator != 1:
+    kp1 = k + 1
+    lower = sum(math.comb(kp1, j) * _power_sum(j, m) for j in range(1, k))
+    s, r = divmod((m + 1) ** kp1 - 1 - m - lower, kp1)
+    if r:
         raise AssertionError(f"power sum came out non-integral for k={k}, m={m}")
-    return acc.numerator
+    return s
 
 
 def _log_int(n: int) -> float:
@@ -402,9 +376,9 @@ def survival_log_series(t, p, order: int) -> "tuple[float, float]":
     space = as_space_size(t)
     p = _as_count(p)
     _check_order(order)
-    value, omitted, _, _ = _series_scan(space.value, p, order)  # refuses p/t >= 1/2 first
     if p <= 1:
         return 0.0, 0.0
+    value, omitted, _, _ = _series_scan(space.value, p, order)
     return value, omitted / (1.0 - p / space.value)
 
 

@@ -33,7 +33,6 @@ from .collision import (
     SpaceSize,
     as_space_size,
     collision_probability,
-    MAX_SPACE,
 )
 
 __all__ = [
@@ -118,10 +117,6 @@ def space_size(model) -> SpaceSize:
     else:
         raise DomainError(
             f"model must be GaltonModel or RegionModel, got {type(model).__name__}"
-        )
-    if exact > int(MAX_SPACE):
-        raise DomainError(
-            f"model implies {exact} patterns, beyond the supported maximum 1e30"
         )
     return as_space_size(exact)
 

@@ -127,13 +127,7 @@ def solve_space(p, target) -> SpaceSize:
     t0 = pair_count(p) / (-math.log1p(-x))
     lo = min(max(1.0, t0 / 4.0), MAX_SPACE)
     hi = min(max(4.0 * t0, 2.0), MAX_SPACE)
-    for _ in range(_MAX_BISECT):
-        if _prob(lo, p) >= x:
-            break
-        lo /= 4.0
-        if lo <= 1.0:
-            lo = 1.0
-            break
+    # prob(lo) >= x needs no probe: log1p(-y) <= -y gives prob(t0/4) >= 1 - (1-x)**4 >= x
     while _prob(hi, p) > x:  # ends by 1e30, where it refuses
         if hi == MAX_SPACE:
             raise DomainError(

@@ -159,6 +159,21 @@ class TestPowerSum:
     def test_zero_range(self):
         assert _power_sum(5, 0) == 0
 
+    @pytest.mark.parametrize("q", [10_007, 65_521])
+    def test_high_order_huge_m_against_modular_oracle(self, q):
+        # n**k mod q repeats with period q in n, so the sum mod q needs only
+        # one full period and a remainder; pow(n, k, q) is independent of
+        # the recurrence.  k = 513 is the scan cap plus its omitted term.
+        def oracle(k, m):
+            def period_sum(upto):
+                return sum(pow(n, k, q) for n in range(1, upto + 1))
+            return ((m // q) * period_sum(q) + period_sum(m % q)) % q
+
+        _power_sum.cache_clear()  # the cold path computes every lower order
+        m = 10**13 + 12_345
+        for k in (513, 13, 64, 200, 511, 512):
+            assert _power_sum(k, m) % q == oracle(k, m)
+
 
 class TestSurvivalLogSeries:
     def test_two_draws_is_mercator(self):
@@ -209,6 +224,11 @@ class TestSurvivalLogSeries:
     def test_trivial_population(self):
         assert survival_log_series(365, 1, order=4) == (0.0, 0.0)
         assert survival_log_series(365, 0, order=4) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("t, p", [(2, 1), (1, 1), (1.5, 1)])
+    def test_trivial_population_needs_no_ratio_check(self, t, p):
+        # p/t >= 1/2 here, but fewer than two draws never repeat
+        assert survival_log_series(t, p, order=2) == (0.0, 0.0)
 
     @pytest.mark.parametrize("t, p, k", [
         (365, 23, 6), (2**36, 467_963, 2), (2**47, 14_000_000, 3), (1e20, 10**6, 40),
