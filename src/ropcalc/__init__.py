@@ -6,85 +6,13 @@ probability; space size holding a population at a target probability),
 and report-style random overlap tables for named groups.
 """
 
-from .collision import (
-    AUTO,
-    DEFAULT_EXACT_BUDGET,
-    EXACT,
-    MAX_SPACE,
-    SERIES,
-    DomainError,
-    EvalResult,
-    IterationBudgetError,
-    SeriesBoundError,
-    SpaceSize,
-    as_space_size,
-    collision_probability,
-    pair_count,
-    survival_log_exact,
-    survival_log_series,
-)
-from .rop import (
-    BUNDLED_DATASETS,
-    GaltonModel,
-    IngestError,
-    PopulationRecord,
-    RegionModel,
-    RopEntry,
-    SATURATION_THRESHOLD,
-    dump_populations,
-    format_percent,
-    load_bundled_cities,
-    load_populations,
-    parse_populations,
-    rop,
-    rop_table,
-    space_size,
-)
-from .solvers import (
-    DEFAULT_WORLD_POPULATION,
-    SolveTarget,
-    solve_population,
-    solve_space,
-    space_for_world_overlap,
-)
+from .collision import *
+from .collision import __all__ as _collision_all
+from .rop import *
+from .rop import __all__ as _rop_all
+from .solvers import *
+from .solvers import __all__ as _solvers_all
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AUTO",
-    "BUNDLED_DATASETS",
-    "DEFAULT_EXACT_BUDGET",
-    "DEFAULT_WORLD_POPULATION",
-    "DomainError",
-    "EXACT",
-    "EvalResult",
-    "GaltonModel",
-    "IngestError",
-    "IterationBudgetError",
-    "MAX_SPACE",
-    "PopulationRecord",
-    "RegionModel",
-    "RopEntry",
-    "SATURATION_THRESHOLD",
-    "SERIES",
-    "SeriesBoundError",
-    "SolveTarget",
-    "SpaceSize",
-    "as_space_size",
-    "collision_probability",
-    "dump_populations",
-    "format_percent",
-    "load_bundled_cities",
-    "load_populations",
-    "pair_count",
-    "parse_populations",
-    "rop",
-    "rop_table",
-    "solve_population",
-    "solve_space",
-    "space_for_world_overlap",
-    "space_size",
-    "survival_log_exact",
-    "survival_log_series",
-    "__version__",
-]
+__all__ = [*_collision_all, *_rop_all, *_solvers_all, "__version__"]

@@ -237,6 +237,14 @@ def _survival_log_product(t: float, p: int) -> float:
     return total + comp
 
 
+def _check_budget(p: int, budget) -> None:
+    if p - 1 > budget:
+        raise IterationBudgetError(
+            f"exact product needs {p - 1} factors, over the budget of {budget}; "
+            "use the series method instead"
+        )
+
+
 def survival_log_exact(t, p, *, budget: int = DEFAULT_EXACT_BUDGET) -> float:
     """Log of the no-repeat probability via the direct factor product.
 
@@ -254,11 +262,7 @@ def survival_log_exact(t, p, *, budget: int = DEFAULT_EXACT_BUDGET) -> float:
             f"population {p} leaves no free values in a space of {space.value!r}; "
             "a repeat is guaranteed there"
         )
-    if p - 1 > budget:
-        raise IterationBudgetError(
-            f"exact product needs {p - 1} factors, over the budget of {budget}; "
-            "use the series method instead"
-        )
+    _check_budget(p, budget)
     return _survival_log_product(space.value, p)
 
 
@@ -401,7 +405,7 @@ def collision_probability(
     if method not in (EXACT, SERIES, AUTO):
         raise DomainError(f"method must be one of exact/series/auto, got {method!r}")
     if order is not None:
-        if method == EXACT:
+        if method != SERIES:
             raise DomainError("order only applies to the series method")
         _check_order(order)
 
@@ -423,6 +427,8 @@ def collision_probability(
         method = SERIES if p - 1 > exact_budget or ratio <= _AUTO_SERIES_RATIO else EXACT
 
     if method == EXACT:
-        return _result_from_log(survival_log_exact(space, p, budget=exact_budget), EXACT, 0.0)
+        # p <= 1 and the pigeonhole case are settled above; only the budget is left
+        _check_budget(p, exact_budget)
+        return _result_from_log(_survival_log_product(space.value, p), EXACT, 0.0)
     value, _, bound, k = _series_scan(space.value, p, order)
     return _result_from_log(value, SERIES, bound, k)

@@ -76,10 +76,11 @@ def _prob(t, p) -> float:
 def solve_population(t, target) -> int:
     """Smallest population whose collision probability reaches the target.
 
-    Exponential search brackets the threshold, then integer bisection
-    narrows it; both phases reuse the forward evaluator, so the result is
-    exactly the first p with probability(t, p) >= target under that
-    evaluator.  Total evaluations stay within about 2 * log2(answer).
+    The pair-count seed p0 = sqrt(2 * t * -log(1 - target)), the same bound
+    ``solve_space`` starts from, gives the bracket [p0/2, 2*p0]; integer
+    bisection then narrows it.  Both phases reuse the forward evaluator, so
+    the result is exactly the first p with probability(t, p) >= target under
+    that evaluator.  Total evaluations stay within about log2(answer) + 3.
     """
     space = as_space_size(t)
     if space.value < 2:
@@ -90,14 +91,18 @@ def solve_population(t, target) -> int:
     # at the first p with p - 1 >= t.
     cap = math.ceil(space.value) + 1
 
-    lo = hi = 1  # probability is 0 at p = 1
-    while True:
-        hi = min(hi * 2, cap)
-        if _prob(space, hi) >= goal:
-            break
-        if hi == cap:
+    # pair_count(2*p0) >= p0**2 > 2 * t * -log(1 - goal) and log1p(-y) <= -y
+    # give prob(2*p0) >= 1 - (1 - goal)**2 >= goal.  A missed root falls back to
+    # [1, lo] or [hi, cap]: probability is 0 at p = 1 and 1 at the cap.
+    p0 = math.isqrt(math.ceil(2.0 * space.value * -math.log1p(-goal))) + 1
+    lo = min(max(p0 // 2, 1), cap)
+    hi = min(2 * p0, cap)
+    if lo > 1 and _prob(space, lo) >= goal:
+        lo, hi = 1, lo
+    elif _prob(space, hi) < goal:
+        lo, hi = hi, cap
+        if _prob(space, hi) < goal:
             raise AssertionError("guaranteed-repeat cutoff failed to reach the target")
-        lo = hi
     # invariant: prob(lo) < goal <= prob(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2

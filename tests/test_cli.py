@@ -276,6 +276,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "prob", "-t", "0.5", "-p", "3")
         assert code == 3 and "error:" in err
 
+    def test_order_without_series_method_is_three(self, capsys):
+        # auto would pick the exact product here; --order is for the series only
+        code, out, err = run(capsys, "prob", "-t", "365", "-p", "23", "--order", "6")
+        assert code == 3 and out == "" and "series method" in err
+
     def test_space_over_ceiling_is_three(self, capsys):
         code, _, err = run(capsys, "prob", "-t", "1e40", "-p", "3")
         assert code == 3

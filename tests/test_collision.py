@@ -360,3 +360,9 @@ class TestCollisionProbability:
     def test_rejects_order_with_exact(self):
         with pytest.raises(DomainError):
             collision_probability(365, 23, "exact", order=6)
+
+    @pytest.mark.parametrize("t,p", [(365, 23), (2**47, 14_000_000)])
+    def test_rejects_order_with_auto(self, t, p):
+        # whichever route auto would pick, the order is not silently dropped
+        with pytest.raises(DomainError, match="series method"):
+            collision_probability(t, p, order=6)

@@ -66,7 +66,11 @@ class TestSolvePopulation:
 
     @pytest.mark.parametrize(
         "t,target",
-        [(365, 0.5), (365, 0.99), (1000, 0.25), (2**36, 0.5), (1e12, 0.9), (7, 0.999)],
+        [
+            (365, 0.5), (365, 0.99), (1000, 0.25), (2**36, 0.5), (1e12, 0.9), (7, 0.999),
+            (2**96, 0.01), (1e30, 1e-300), (1e30, 1 - 2**-53),
+            (3, 1 - 2**-53), (2, 0.99), (2, 0.999),
+        ],
     )
     def test_bracketing_invariant(self, t, target):
         p = solve_population(t, SolveTarget(target))
@@ -94,6 +98,19 @@ class TestSolvePopulation:
 
     def test_accepts_plain_float_target(self):
         assert solve_population(365, 0.5) == 23
+
+    @pytest.mark.parametrize("t,target,most", [(2**96, 0.01, 50), (365, 0.5, 7)])
+    def test_pair_count_seed_keeps_probes_few(self, monkeypatch, t, target, most):
+        # the pair-count seed brackets the root in [p0/2, 2*p0]: two probes, then bisection
+        calls = []
+
+        def counting(t, p):
+            calls.append(p)
+            return collision_probability(t, p)
+
+        monkeypatch.setattr(solvers, "collision_probability", counting)
+        solve_population(t, target)
+        assert len(calls) <= most
 
     def test_search_cap_is_the_pigeonhole_cutoff_above_2_pow_63(self, monkeypatch):
         # A forward map that only reports a repeat once one is forced makes
