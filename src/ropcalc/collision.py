@@ -301,8 +301,6 @@ def _log_int(n: int) -> float:
 def _series_term(k: int, m: int, t: float, log_t: float) -> float:
     """Value of power_sum(k, m) / (k * t**k), overflow-safe."""
     s = _power_sum(k, m)
-    if s == 0:
-        return 0.0
     # Direct evaluation while numerator and denominator both fit in floats;
     # otherwise fall back to log space (t**k overflows doubles long before
     # the term itself stops mattering).
@@ -343,12 +341,13 @@ def _series_scan(t: float, p: int, order=None):
     the log-survival estimate, the first omitted term, the probability
     bound, and the order.
     """
-    ratio = p / t
+    try:
+        ratio = p / t
+    except OverflowError:  # p is beyond float range, so p/t is far above 1/2
+        ratio = math.inf
     if ratio >= _SERIES_MAX_RATIO:
-        raise SeriesBoundError(
-            f"series bound is not certified for p/t = {ratio:.3g} >= 1/2; "
-            "use the exact method"
-        )
+        shown = f"p/t = {ratio:.3g} >= 1/2" if ratio < math.inf else "p beyond float range"
+        raise SeriesBoundError(f"series bound is not certified for {shown}; use the exact method")
     m = p - 1
     log_t = math.log(t)
     geom = 1.0 / (1.0 - ratio)

@@ -191,14 +191,6 @@ def _parse_grouped_int(text: str) -> int:
     return int(digits)
 
 
-def _detect_delimiter(line: str) -> str:
-    counts = [(line.count(d), -i) for i, d in enumerate(_DELIMITERS)]
-    best = max(range(len(_DELIMITERS)), key=lambda i: counts[i])
-    if line.count(_DELIMITERS[best]) == 0:
-        return ","
-    return _DELIMITERS[best]
-
-
 def parse_populations(text: str, *, delimiter=None) -> "list[PopulationRecord]":
     """Parse a delimiter-separated population table from a string.
 
@@ -219,12 +211,13 @@ def parse_populations(text: str, *, delimiter=None) -> "list[PopulationRecord]":
 
     header_no, header_line = numbered[0]
     if delimiter is None:
-        delimiter = _detect_delimiter(header_line)
+        # ties go to the earlier delimiter, and a header without any gets ","
+        delimiter = max(_DELIMITERS, key=header_line.count)
     elif delimiter not in _DELIMITERS:
         raise IngestError(f"unsupported delimiter {delimiter!r}; use one of , ; or tab")
 
     def split(line):
-        return next(csv.reader(io.StringIO(line), delimiter=delimiter))
+        return next(csv.reader([line], delimiter=delimiter))
 
     header = [cell.strip().lower() for cell in split(header_line)]
     try:

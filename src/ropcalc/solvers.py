@@ -117,11 +117,11 @@ def solve_space(p, target) -> SpaceSize:
     """Space size at which the population's collision probability hits the target.
 
     A closed-form seed t0 = pair_count(p) / (-log(1 - target)) comes from
-    the pair-counting approximation and lands within a factor of ~2 of the
-    root, so [t0/4, 4*t0], clamped to the supported maximum 1e30, brackets
-    it.  Bisection then proceeds on log t until the bracket is relatively
-    tighter than the tolerance.  Raises DomainError when even a space of
-    1e30 leaves the probability above the target.
+    the pair-counting approximation and brackets the root in
+    [t0/4, max(4*t0, t0 + p - 1)], clamped to the supported maximum 1e30,
+    by proof rather than by widening.  Bisection then proceeds on log t until
+    the bracket is relatively tighter than the tolerance.  Raises DomainError
+    when even a space of 1e30 leaves the probability above the target.
     """
     p = _as_count(p)
     if p < 2:
@@ -129,17 +129,20 @@ def solve_space(p, target) -> SpaceSize:
     goal = _as_target(target)
     x = goal.target_prob
 
-    t0 = pair_count(p) / (-math.log1p(-x))
-    lo = min(max(1.0, t0 / 4.0), MAX_SPACE)
-    hi = min(max(4.0 * t0, 2.0), MAX_SPACE)
+    if p - 1 >= MAX_SPACE:  # a repeat is forced in every supported space; t0 would overflow
+        lo = hi = MAX_SPACE
+    else:
+        t0 = pair_count(p) / (-math.log1p(-x))
+        lo = min(max(1.0, t0 / 4.0), MAX_SPACE)
+        hi = min(max(4.0 * t0, t0 + (p - 1)), MAX_SPACE)
     # prob(lo) >= x needs no probe: log1p(-y) <= -y gives prob(t0/4) >= 1 - (1-x)**4 >= x
-    while _prob(hi, p) > x:  # ends by 1e30, where it refuses
-        if hi == MAX_SPACE:
-            raise DomainError(
-                f"population {p} repeats with probability above {x!r} even in a space "
-                "of 1e30, the supported maximum"
-            )
-        hi = min(hi * 4.0, MAX_SPACE)
+    # prob(hi) <= x needs none below 1e30: -log1p(-y) <= y/(1-y) gives, for t > p - 1,
+    # -log S(t) <= pair_count(p) / (t - p + 1), which is -log(1-x) at t = t0 + p - 1
+    if hi == MAX_SPACE and _prob(hi, p) > x:
+        raise DomainError(
+            f"population {p} repeats with probability above {x!r} even in a space "
+            "of 1e30, the supported maximum"
+        )
     # invariant: prob(lo) >= x >= prob(hi)  (probability falls as t grows)
     for _ in range(_MAX_BISECT):
         if hi - lo <= goal.tolerance * lo:

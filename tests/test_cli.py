@@ -285,6 +285,10 @@ class TestExitCodes:
         code, _, err = run(capsys, "prob", "-t", "1e40", "-p", "3")
         assert code == 3
 
+    def test_huge_population_space_solve_is_three(self, capsys):
+        code, out, err = run(capsys, "solve-t", "-p", "1e200", "--target", "0.5")
+        assert code == 3 and out == "" and "1e30" in err
+
     def test_bad_target_is_three(self, capsys):
         code, _, err = run(capsys, "solve-p", "-t", "365", "--target", "1.5")
         assert code == 3 and "target" in err

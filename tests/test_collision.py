@@ -215,6 +215,13 @@ class TestSurvivalLogSeries:
         with pytest.raises(SeriesBoundError):
             survival_log_series(100, 51, order=6)
 
+    @pytest.mark.parametrize("p", [10**400, 2**1024], ids=["1e400", "2**1024"])
+    def test_refuses_population_beyond_float_range(self, p):
+        # float(p) overflows, so p/t has no float value to report
+        with pytest.raises(SeriesBoundError) as err:
+            survival_log_series(1e30, p, 3)
+        assert "inf" not in str(err.value)
+
     def test_order_validation(self):
         with pytest.raises(DomainError):
             survival_log_series(365, 23, order=1)

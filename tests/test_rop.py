@@ -210,6 +210,11 @@ class TestParsePopulations:
         recs = parse_populations("name;population\nA;10\nB;20\n")
         assert len(recs) == 2
 
+    def test_delimiter_tie_goes_to_comma(self):
+        # two commas and two semicolons: the earlier delimiter in , tab ; wins
+        recs = parse_populations("name,population,a;b;\nA,10,x\n")
+        assert recs == [PopulationRecord("A", 10)]
+
     def test_explicit_delimiter_override(self):
         # commas inside the quoted number must not fool a tab-delimited read
         recs = parse_populations('name\tpopulation\nNYC\t"8,419,600"\n', delimiter="\t")

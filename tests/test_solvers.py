@@ -178,6 +178,36 @@ class TestSolveSpace:
         with pytest.raises(DomainError):
             solve_space(10**9, SolveTarget(1e-22))
 
+    @pytest.mark.parametrize("p", [10**200, 10**400], ids=["1e200", "1e400"])
+    def test_huge_population_names_the_ceiling(self, p):
+        # p - 1 >= 1e30 forces a repeat in every supported space; pair_count(p)
+        # overflows a float here, so the refusal must come before any float math
+        with pytest.raises(DomainError) as err:
+            solve_space(p, 0.5)
+        assert "1e30" in str(err.value)
+
+    def test_pair_count_bracket_needs_no_upper_probe(self, monkeypatch):
+        # both bracket ends follow from the pair-count bound, so every
+        # evaluation is a bisection step
+        calls = []
+
+        def counting(t, p):
+            calls.append(t)
+            return collision_probability(t, p)
+
+        monkeypatch.setattr(solvers, "collision_probability", counting)
+        solve_space(8_200_000_000, 0.5)
+        assert len(calls) <= 32
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 24])
+    @pytest.mark.parametrize("target", [0.9, 0.99, 1 - 1e-12, 1 - 2**-53])
+    def test_root_bracketed_for_small_populations_near_certainty(self, p, target):
+        # here t0 + p - 1, not 4*t0, is the upper bracket end; spaces below 1
+        # are outside the domain, and t = 1 already forces a repeat
+        t = solve_space(p, target).value
+        assert collision_probability(max(1.0, t * (1 - 2e-9)), p).probability >= target
+        assert target >= collision_probability(t * (1 + 2e-9), p).probability
+
 
 class TestWorldOverlap:
     def test_quarter_odds_space(self):
