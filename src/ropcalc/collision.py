@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 __all__ = [
     "DomainError",
     "IterationBudgetError",
@@ -56,13 +54,9 @@ MAX_SPACE = 1e30
 DEFAULT_EXACT_BUDGET = 10**8
 
 # Auto prefers the series once p/t drops below this ratio: the truncation
-# bound is then far below _AUTO_BOUND_TARGET after a few terms and the
+# bound then meets the scan's stopping rule after a few terms and the
 # series costs O(1) instead of O(p).
 _AUTO_SERIES_RATIO = 1e-4
-
-# Bound target for auto-selected series evaluations (absolute, on the
-# probability).
-_AUTO_BOUND_TARGET = 1e-12
 
 # The certified geometric tail bound needs the term ratio to stay below 1
 # with margin; refuse the series above this draw/space ratio.
@@ -75,7 +69,8 @@ _BLOCK = 1 << 16
 
 # Rounding allowance folded into reported error bounds: covers term
 # evaluation and accumulation noise of both evaluation routes with a wide
-# margin (measured worst case is below 1e-14 relative).
+# margin (measured worst case is below 1e-14 relative).  An order-less
+# series scan stops once its truncation bound fits inside the same share.
 _ROUNDING_UNIT = 1e-13
 
 # Absolute allowance for the single log-to-probability rounding step of
@@ -230,6 +225,8 @@ def _neumaier(total: float, comp: float, x: float) -> "tuple[float, float]":
 
 def _survival_log_product(t: float, p: int) -> float:
     """Sum of log1p(-n/t) for n in [1, p-1] with fixed-block compensation."""
+    import numpy as np  # only this loop needs it; keeps it off the import path
+
     total = comp = 0.0
     for start in range(1, p, _BLOCK):
         n = np.arange(start, min(p, start + _BLOCK), dtype=np.float64)
@@ -336,10 +333,10 @@ def _series_scan(t: float, p: int, order=None):
 
     Refuses p/t >= 1/2, where the geometric tail bound is not certified.
     A fixed ``order`` sets k.  With ``order=None`` k grows from 2 until the
-    probability bound drops below _AUTO_BOUND_TARGET (always reachable for
-    p/t < 1/2, usually by order 2 or 3).  Returns (value, omitted, bound, k):
-    the log-survival estimate, the first omitted term, the probability
-    bound, and the order.
+    truncation bound tail = omitted term / (1 - p/t) is at most the share
+    _ROUNDING_UNIT of |value| that reported bounds already carry: at most
+    ~45 orders for p/t < 1/2, usually 2 to 4.  Returns (value, tail, k),
+    the log-survival estimate, its truncation bound, and the order.
     """
     try:
         ratio = p / t
@@ -355,17 +352,14 @@ def _series_scan(t: float, p: int, order=None):
     # Neumaier step from zero.
     total, comp = _series_term(1, m, t, log_t), 0.0
     omitted = _series_term(2, m, t, log_t)
-    k = 1
+    k, last = 1, order or 512
     while True:
         k += 1
         total, comp = _neumaier(total, comp, omitted)
         omitted = _series_term(k + 1, m, t, log_t)
-        if order is not None and k < order:
-            continue
-        value = -(total + comp)
-        bound = _prob_bound(value, omitted * geom)
-        if order is not None or bound < _AUTO_BOUND_TARGET or k >= 512:
-            return value, omitted, bound, k
+        value, tail = -(total + comp), omitted * geom
+        if k >= last or order is None and tail <= _ROUNDING_UNIT * -value:
+            return value, tail, k
 
 
 def survival_log_series(t, p, order: int) -> "tuple[float, float]":
@@ -381,8 +375,7 @@ def survival_log_series(t, p, order: int) -> "tuple[float, float]":
     _check_order(order)
     if p <= 1:
         return 0.0, 0.0
-    value, omitted, _, _ = _series_scan(space.value, p, order)
-    return value, omitted / (1.0 - p / space.value)
+    return _series_scan(space.value, p, order)[:2]
 
 
 def collision_probability(
@@ -393,7 +386,8 @@ def collision_probability(
     ``method`` is "exact", "series", or "auto".  Auto runs the exact
     product when p is within ``exact_budget`` and p/t is large enough for
     the O(p) walk to be worth it; otherwise it uses the series with the
-    truncation order grown until the error bound falls below 1e-12.
+    truncation order grown until the truncation bound on ``log_survival``
+    is at most 1e-13 of its magnitude.
 
     Two short circuits need no iteration at all: p <= 1 gives probability
     exactly 0, and p >= t + 1 gives probability exactly 1 (some value must
@@ -429,5 +423,5 @@ def collision_probability(
         # p <= 1 and the pigeonhole case are settled above; only the budget is left
         _check_budget(p, exact_budget)
         return _result_from_log(_survival_log_product(space.value, p), EXACT, 0.0)
-    value, _, bound, k = _series_scan(space.value, p, order)
-    return _result_from_log(value, SERIES, bound, k)
+    value, tail, k = _series_scan(space.value, p, order)
+    return _result_from_log(value, SERIES, _prob_bound(value, tail), k)

@@ -129,16 +129,16 @@ def solve_space(p, target) -> SpaceSize:
     goal = _as_target(target)
     x = goal.target_prob
 
-    if p - 1 >= MAX_SPACE:  # a repeat is forced in every supported space; t0 would overflow
-        lo = hi = MAX_SPACE
-    else:
-        t0 = pair_count(p) / (-math.log1p(-x))
-        lo = min(max(1.0, t0 / 4.0), MAX_SPACE)
-        hi = min(max(4.0 * t0, t0 + (p - 1)), MAX_SPACE)
-    # prob(lo) >= x needs no probe: log1p(-y) <= -y gives prob(t0/4) >= 1 - (1-x)**4 >= x
+    # p - 1 >= 1e30 forces a repeat in every supported space; pair_count(p), and p
+    # itself, may overflow a float there, so t0 = inf stands in
+    t0 = pair_count(p) / -math.log1p(-x) if p - 1 < MAX_SPACE else math.inf
+    # log1p(-y) <= -y gives prob(t) >= x for every t <= t0: t0 > 1e30 puts the root above
+    # the domain with no probe, and prob(lo) >= x needs none: prob(t0/4) >= 1 - (1-x)**4 >= x
     # prob(hi) <= x needs none below 1e30: -log1p(-y) <= y/(1-y) gives, for t > p - 1,
     # -log S(t) <= pair_count(p) / (t - p + 1), which is -log(1-x) at t = t0 + p - 1
-    if hi == MAX_SPACE and _prob(hi, p) > x:
+    lo = max(1.0, t0 / 4.0)
+    hi = min(max(4.0 * t0, t0 + (p - 1)), MAX_SPACE) if t0 <= MAX_SPACE else MAX_SPACE
+    if t0 > MAX_SPACE or hi == MAX_SPACE and _prob(hi, p) > x:
         raise DomainError(
             f"population {p} repeats with probability above {x!r} even in a space "
             "of 1e30, the supported maximum"

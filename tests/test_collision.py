@@ -6,6 +6,9 @@ brute force) and are frozen here as literals.
 """
 
 import math
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -31,6 +34,15 @@ V_365_3 = -0.008238005263391569
 # frozen: brute-force fsum over 999999 log1p terms, cross-checked against
 # the series at order 4 (agreement to 13 digits)
 B_2POW36_1E6 = 0.9993080422308641
+# frozen: mpmath lgamma(t+1) - lgamma(t+1-p) - p*log(t), with the working
+# digits raised by the digits the cancellation loses (at least 50 remain),
+# rounded to double; the three points where an order-less scan once
+# stopped at order 2
+V_SERIES_POINTS = [
+    (1e12, 2 * 10**8, "auto", -20001.33336667267),
+    (2**36, 6 * 10**6, "auto", -261.94205408229516),
+    (1e11, 10**8, "series", -50016.674504753166),
+]
 
 
 class TestPairCount:
@@ -373,3 +385,40 @@ class TestCollisionProbability:
         # whichever route auto would pick, the order is not silently dropped
         with pytest.raises(DomainError, match="series method"):
             collision_probability(t, p, order=6)
+
+    @pytest.mark.parametrize("t, p, method, truth", V_SERIES_POINTS,
+                             ids=["1e12-2e8-auto", "2pow36-6e6-auto", "1e11-1e8-series"])
+    def test_order_less_series_log_survival_is_accurate(self, t, p, method, truth):
+        # the scan grows the order until truncation fits the rounding share of
+        # log_survival, not until the (far smaller) probability error does
+        r = collision_probability(t, p, method)
+        assert r.method == "series"
+        assert abs(r.log_survival - truth) <= 1e-12 * abs(truth)
+
+    def test_order_less_series_against_fsum_oracle(self):
+        rng = random.Random(6)
+        cases = [(1e6, 2 * 10**5, "series"), (1e7, 10**5, "series")]
+        for _ in range(40):
+            p = int(10 ** rng.uniform(math.log10(2), math.log10(2e5)))
+            if rng.random() < 0.5:  # auto takes the series for p/t <= 1e-4
+                cases.append((min(p * 10 ** rng.uniform(4, 14), 1e30), p, "auto"))
+            else:
+                cases.append((min(p / 10 ** rng.uniform(-14, math.log10(0.49)), 1e30), p, "series"))
+        for t, p, method in cases:
+            r = collision_probability(t, p, method)
+            truth = fsum_survival_log(t, p)
+            assert r.method == "series", (t, p, method)
+            assert abs(r.log_survival - truth) <= 1e-12 * abs(truth), (t, p, method)
+            assert r.abs_error_bound < 1e-12, (t, p, method)
+
+
+def test_numpy_loads_on_the_first_exact_call():
+    # only the exact product's loop needs numpy, so importing ropcalc must not
+    code = (
+        "import sys, ropcalc\n"
+        "print('numpy' in sys.modules)\n"
+        "ropcalc.collision_probability(365, 23)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]

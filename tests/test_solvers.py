@@ -186,6 +186,22 @@ class TestSolveSpace:
             solve_space(p, 0.5)
         assert "1e30" in str(err.value)
 
+    @pytest.mark.parametrize("p", [6 * 10**29, 10**30], ids=["6e29", "1e30"])
+    def test_seed_past_the_ceiling_refuses_without_probing(self, monkeypatch, p):
+        # log1p(-y) <= -y gives prob(t) >= 0.5 for every t <= t0 = pair_count(p) / log 2,
+        # far above 1e30 here; a probe at 1e30 would meet the exact budget instead
+        calls = []
+
+        def counting(t, p):
+            calls.append(t)
+            return collision_probability(t, p)
+
+        monkeypatch.setattr(solvers, "collision_probability", counting)
+        with pytest.raises(DomainError) as err:
+            solve_space(p, 0.5)
+        assert "1e30" in str(err.value)
+        assert calls == []
+
     def test_pair_count_bracket_needs_no_upper_probe(self, monkeypatch):
         # both bracket ends follow from the pair-count bound, so every
         # evaluation is a bisection step
