@@ -53,10 +53,11 @@ MAX_SPACE = 1e30
 # otherwise; 1e8 log1p evaluations complete in a few seconds.
 DEFAULT_EXACT_BUDGET = 10**8
 
-# Auto prefers the series once p/t drops below this ratio: the truncation
-# bound then meets the scan's stopping rule after a few terms and the
-# series costs O(1) instead of O(p).
+# Auto takes the certified series (p/t < 1/2) when p/t <= 1e-4 or the O(p)
+# product has over 2**14 factors: a cold scan costs 10-70 us to p/t = 0.1 and
+# 0.2-0.3 ms at 0.45 whatever p is, the product ~0.08 ms at 2**14, ~1 ms at 1e5.
 _AUTO_SERIES_RATIO = 1e-4
+_AUTO_EXACT_FACTORS = 1 << 14
 
 # The certified geometric tail bound needs the term ratio to stay below 1
 # with margin; refuse the series above this draw/space ratio.
@@ -265,7 +266,8 @@ def survival_log_exact(t, p, *, budget: int = DEFAULT_EXACT_BUDGET) -> float:
 
 # --- exact cumulative power sums ------------------------------------------
 
-@lru_cache(maxsize=1 << 14)
+# Over 2 x 513 entries: two scans at the 512-order cap (orders 1..513 each) fit.
+@lru_cache(maxsize=1 << 11)
 def _power_sum(k: int, m: int) -> int:
     """Exact sum of n**k for n = 1..m (k >= 1), in integer arithmetic.
 
@@ -383,11 +385,11 @@ def collision_probability(
 ) -> EvalResult:
     """Probability that p uniform draws over t values repeat at least once.
 
-    ``method`` is "exact", "series", or "auto".  Auto runs the exact
-    product when p is within ``exact_budget`` and p/t is large enough for
-    the O(p) walk to be worth it; otherwise it uses the series with the
-    truncation order grown until the truncation bound on ``log_survival``
-    is at most 1e-13 of its magnitude.
+    ``method`` is "exact", "series", or "auto".  Auto takes the series
+    wherever it is certified (p/t < 1/2) and either p/t <= 1e-4 or the
+    product would need more than 2**14 factors; otherwise it runs the exact
+    product within ``exact_budget``.  The series grows its order until the
+    truncation bound on ``log_survival`` is at most 1e-13 of its magnitude.
 
     Two short circuits need no iteration at all: p <= 1 gives probability
     exactly 0, and p >= t + 1 gives probability exactly 1 (some value must
@@ -409,7 +411,7 @@ def collision_probability(
 
     if method == AUTO:
         # Over the budget only the series is left; within it the O(p) walk
-        # pays off unless p/t is tiny.
+        # pays off for short products, and is the one route for p/t >= 1/2.
         ratio = p / space.value
         if p - 1 > exact_budget and ratio >= _SERIES_MAX_RATIO:
             raise IterationBudgetError(
@@ -417,7 +419,8 @@ def collision_probability(
                 f"p/t = {ratio:.3g} is too large for the certified series; "
                 "raise exact_budget to force the product evaluation"
             )
-        method = SERIES if p - 1 > exact_budget or ratio <= _AUTO_SERIES_RATIO else EXACT
+        cheap = ratio <= _AUTO_SERIES_RATIO or p - 1 > min(exact_budget, _AUTO_EXACT_FACTORS)
+        method = SERIES if cheap and ratio < _SERIES_MAX_RATIO else EXACT
 
     if method == EXACT:
         # p <= 1 and the pigeonhole case are settled above; only the budget is left

@@ -23,7 +23,7 @@ from ropcalc import (
     survival_log_exact,
     survival_log_series,
 )
-from ropcalc.collision import _power_sum, _survival_log_product
+from ropcalc.collision import _power_sum, _series_scan, _survival_log_product
 
 from conftest import fsum_survival_log, rational_collision
 
@@ -185,6 +185,18 @@ class TestPowerSum:
         m = 10**13 + 12_345
         for k in (513, 13, 64, 200, 511, 512):
             assert _power_sum(k, m) % q == oracle(k, m)
+
+    def test_cold_scan_at_the_cap_computes_each_order_once(self):
+        # the scan at the order cap needs orders 1..513 of one m at once; a
+        # cache too small for them would evict and recompute its own lower
+        # orders, and the misses would exceed 513
+        _power_sum.cache_clear()
+        _series_scan(1e12, 10**6, 512)
+        assert _power_sum.cache_info().misses == 513
+        # two populations at the cap fit together, so going back costs nothing
+        _series_scan(1e12, 10**6 + 1, 512)
+        _series_scan(2e12, 10**6, 512)
+        assert _power_sum.cache_info().misses == 2 * 513
 
 
 class TestSurvivalLogSeries:
@@ -410,6 +422,65 @@ class TestCollisionProbability:
             assert r.method == "series", (t, p, method)
             assert abs(r.log_survival - truth) <= 1e-12 * abs(truth), (t, p, method)
             assert r.abs_error_bound < 1e-12, (t, p, method)
+
+
+# auto's exact product takes at most this many factors (p - 1) once p/t is
+# above 1e-4; longer products take the series wherever it is certified
+AUTO_EXACT_FACTORS = 2**14
+
+
+class TestAutoCrossover:
+    def test_long_products_take_the_series(self):
+        rng = random.Random(7)
+        p_lo = AUTO_EXACT_FACTORS + 2
+        cases = [(p_lo / 1.0001e-4, p_lo), (p_lo / 0.4999, p_lo), (2e5 / 0.49, 200_000)]
+        for _ in range(24):
+            p = int(10 ** rng.uniform(math.log10(p_lo), math.log10(2e5)))
+            cases.append((p / 10 ** rng.uniform(-4, math.log10(0.5)), p))
+        for t, p in cases:
+            assert 1e-4 < p / t < 0.5
+            r = collision_probability(t, p)
+            truth = fsum_survival_log(t, p)
+            assert r.method == "series", (t, p)
+            assert abs(r.log_survival - truth) <= 1e-12 * abs(truth), (t, p)
+            assert abs(r.probability + math.expm1(truth)) <= r.abs_error_bound + 2**-50, (t, p)
+
+    def test_short_products_stay_exact(self):
+        rng = random.Random(8)
+        cases = [(365, 23), (1000, 40), (AUTO_EXACT_FACTORS / 2e-4, AUTO_EXACT_FACTORS),
+                 (1e8, AUTO_EXACT_FACTORS + 1), (4e4, AUTO_EXACT_FACTORS + 1)]
+        for _ in range(24):
+            p = int(10 ** rng.uniform(math.log10(2), math.log10(AUTO_EXACT_FACTORS + 1)))
+            cases.append((max(p / 10 ** rng.uniform(-4, 0), p + 0.5), p))
+        for t, p in cases:
+            assert p - 1 <= AUTO_EXACT_FACTORS and p / t > 1e-4
+            r = collision_probability(t, p)
+            e = collision_probability(t, p, "exact")
+            assert r.method == "exact", (t, p)
+            assert r.probability.hex() == e.probability.hex(), (t, p)
+            assert r.log_survival.hex() == e.log_survival.hex(), (t, p)
+
+    @pytest.mark.parametrize("t, p", [(4e4, 20_000), (1e5, 99_999), (1.5e6, 10**6)])
+    def test_uncertified_ratio_stays_exact_within_budget(self, t, p):
+        r = collision_probability(t, p)
+        assert r.method == "exact"
+        assert r.log_survival.hex() == collision_probability(t, p, "exact").log_survival.hex()
+
+    def test_series_over_a_budget_below_the_switch(self):
+        r = collision_probability(1e6, 5000, exact_budget=1000)
+        assert r.method == "series"
+        truth = fsum_survival_log(1e6, 5000)
+        assert abs(r.log_survival - truth) <= 1e-12 * abs(truth)
+
+    @pytest.mark.parametrize("t", [4e4, 1e5, 10**6, 2**24, 1e7, 1.6e8])
+    def test_monotone_across_the_switch(self, t):
+        # exact below the switch, series above it: zero tolerance
+        results = [collision_probability(t, p)
+                   for p in range(AUTO_EXACT_FACTORS, AUTO_EXACT_FACTORS + 4)]
+        assert [r.method for r in results] == ["exact", "exact", "series", "series"]
+        for a, b in zip(results, results[1:]):
+            assert a.probability <= b.probability
+            assert a.log_survival >= b.log_survival
 
 
 def test_numpy_loads_on_the_first_exact_call():
