@@ -37,8 +37,6 @@ __all__ = [
 # World population used by the world-scale uniqueness question (8.2 billion).
 DEFAULT_WORLD_POPULATION = 8_200_000_000
 
-_MAX_BISECT = 400
-
 
 @dataclass(frozen=True)
 class SolveTarget:
@@ -73,14 +71,37 @@ def _prob(t, p) -> float:
     return collision_probability(t, p).probability
 
 
+def _secant(prob, goal, v, d, ends, step):
+    """Up to 8 secant probes of prob on (ln v, ln -log(1 - prob)), from v with inverse slope
+    d, while v lies inside ends = [miss, hit], the nearest points known to miss and to reach
+    goal; step(v, r) maps the root r to the next v.  Returns the last r, or nan."""
+    g0, d0, last, r = math.log(-math.log1p(-goal)), d, None, math.nan
+    for _ in range(8):
+        if not min(ends) < v < max(ends):
+            break
+        q = prob(v)
+        ends[q >= goal] = v
+        if not 0.0 < q < 1.0:
+            break
+        g = math.log(-math.log1p(-q)) - g0
+        # the secant's inverse slope; nan, which stops below, where the map is flat
+        d = math.log(v / last[0]) / (g - last[1] or math.nan) if last else d
+        if not 0.0 < d / d0 < math.inf:
+            break
+        # a root above the upper end is cut back to it, so exp cannot overflow
+        last, r = (v, g), v * math.exp(min(-g * d, math.log(max(ends) / v)))
+        v = step(v, r)
+    return r
+
+
 def solve_population(t, target) -> int:
     """Smallest population whose collision probability reaches the target.
 
-    The pair-count seed p0 = sqrt(2 * t * -log(1 - target)), the same bound
-    ``solve_space`` starts from, gives the bracket [p0/2, 2*p0]; integer
-    bisection then narrows it.  Both phases reuse the forward evaluator, so
-    the result is exactly the first p with probability(t, p) >= target under
-    that evaluator.  Total evaluations stay within about log2(answer) + 3.
+    The pair-count seed p0 = sqrt(2 * t * -log(1 - target)), the same bound ``solve_space``
+    starts from, proves the bracket [1, 2*p0]; secant probes narrow it, most often to adjacent
+    integers in two or three evaluations, and integer bisection closes any gap.  Every decision
+    is the forward evaluator's, so the result is exactly the first p with probability(t, p) >=
+    target under that evaluator.
     """
     space = as_space_size(t)
     if space.value < 2:
@@ -92,14 +113,14 @@ def solve_population(t, target) -> int:
     cap = math.ceil(space.value) + 1
 
     # pair_count(2*p0) >= p0**2 > 2 * t * -log(1 - goal) and log1p(-y) <= -y
-    # give prob(2*p0) >= 1 - (1 - goal)**2 >= goal.  A missed root falls back to
-    # [1, lo] or [hi, cap]: probability is 0 at p = 1 and 1 at the cap.
+    # give prob(2*p0) >= 1 - (1 - goal)**2 >= goal; prob(1) = 0.  Secant probes narrow
+    # [1, 2*p0] to prob(lo) < goal <= prob(hi); an unprobed hi that misses falls back to the cap
     p0 = math.isqrt(math.ceil(2.0 * space.value * -math.log1p(-goal))) + 1
-    lo = min(max(p0 // 2, 1), cap)
-    hi = min(2 * p0, cap)
-    if lo > 1 and _prob(space, lo) >= goal:
-        lo, hi = 1, lo
-    elif _prob(space, hi) < goal:
+    ends = [1, min(2 * p0, cap)]
+    _secant(lambda n: _prob(space, n), goal, p0, 0.5, ends,
+            lambda n, r: min(max(math.ceil(r), ends[0] + 1), ends[1] - 1))
+    lo, hi = ends
+    if hi == min(2 * p0, cap) and _prob(space, hi) < goal:
         lo, hi = hi, cap
         if _prob(space, hi) < goal:
             raise AssertionError("guaranteed-repeat cutoff failed to reach the target")
@@ -116,12 +137,14 @@ def solve_population(t, target) -> int:
 def solve_space(p, target) -> SpaceSize:
     """Space size at which the population's collision probability hits the target.
 
-    A closed-form seed t0 = pair_count(p) / (-log(1 - target)) comes from
-    the pair-counting approximation and brackets the root in
-    [t0/4, max(4*t0, t0 + p - 1)], clamped to the supported maximum 1e30,
-    by proof rather than by widening.  Bisection then proceeds on log t until
-    the bracket is relatively tighter than the tolerance.  Raises DomainError
-    when even a space of 1e30 leaves the probability above the target.
+    A closed-form seed t0 = pair_count(p) / (-log(1 - target)) comes from the pair-counting
+    approximation and brackets the root in [t0/4, max(4*t0, t0 + p - 1)], clamped to the
+    supported maximum 1e30, by proof rather than by widening.  Bisection on log t then runs
+    until the bracket is relatively tighter than the tolerance or holds no float inside.
+    Secant probes first pin the root to tolerance/16, most often in two or three evaluations,
+    so the bisection probes only midpoints between them and returns the float it would return
+    probing every one.  Raises DomainError when even a space of 1e30 leaves the probability
+    above the target.
     """
     p = _as_count(p)
     if p < 2:
@@ -143,12 +166,19 @@ def solve_space(p, target) -> SpaceSize:
             f"population {p} repeats with probability above {x!r} even in a space "
             "of 1e30, the supported maximum"
         )
-    # invariant: prob(lo) >= x >= prob(hi)  (probability falls as t grows)
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= goal.tolerance * lo:
-            break
-        mid = math.sqrt(lo * hi)
-        if _prob(mid, p) >= x:
+    # secant probes from t0, then two at r(1 -+ w) around their root r (w is an ulp at least,
+    # so both differ from r), narrow the probed pair ends = [b, a], prob(a) >= x > prob(b);
+    # monotonicity decides every midpoint outside (a, b)
+    ends, w = [hi, lo], max(goal.tolerance / 16, math.ulp(1.0))
+    r = _secant(lambda t: _prob(t, p), x, t0, -1.0, ends,
+                lambda t, r: r if abs(r - t) > w * t else math.nan)
+    for c in (r * (1 - w), r * (1 + w)):
+        if ends[1] < c < ends[0]:
+            ends[_prob(c, p) >= x] = c
+    # invariant: prob(lo) >= x >= prob(hi)  (probability falls as t grows); it stops
+    # where no float lies strictly between lo and hi, whatever the tolerance
+    while hi - lo > goal.tolerance * lo and lo < (mid := math.sqrt(lo * hi)) < hi:
+        if mid <= ends[1] or mid < ends[0] and _prob(mid, p) >= x:
             lo = mid
         else:
             hi = mid

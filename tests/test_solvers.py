@@ -5,16 +5,19 @@ rational bisection / 50-digit root finding) and frozen as literals.
 """
 
 import math
+import random
 from types import SimpleNamespace
 
 import pytest
 
 from ropcalc import (
     DEFAULT_WORLD_POPULATION,
+    MAX_SPACE,
     DomainError,
     SolveTarget,
     as_space_size,
     collision_probability,
+    pair_count,
     solve_population,
     solve_space,
     space_for_world_overlap,
@@ -36,6 +39,19 @@ X_AUTO_SWITCH_1E8 = 0.73878578
 SPACE_25_PERCENT = 1.1686512027e20
 SPACE_50_PERCENT = 4.85034072715e19
 SPACE_75_PERCENT = 2.42517036371e19
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """The (t, p) pairs the solvers evaluate the forward map at, in order."""
+    calls = []
+
+    def counting(t, p):
+        calls.append((t, p))
+        return collision_probability(t, p)
+
+    monkeypatch.setattr(solvers, "collision_probability", counting)
+    return calls
 
 
 class TestSolveTarget:
@@ -112,9 +128,9 @@ class TestSolvePopulation:
     def test_accepts_plain_float_target(self):
         assert solve_population(365, 0.5) == 23
 
-    @pytest.mark.parametrize("t,target,most", [(2**96, 0.01, 50), (365, 0.5, 7)])
+    @pytest.mark.parametrize("t,target,most", [(2**96, 0.01, 6), (365, 0.5, 4)])
     def test_pair_count_seed_keeps_probes_few(self, monkeypatch, t, target, most):
-        # the pair-count seed brackets the root in [p0/2, 2*p0]: two probes, then bisection
+        # secant probes from the pair-count seed p0 land on the adjacent pair around the answer
         calls = []
 
         def counting(t, p):
@@ -216,8 +232,8 @@ class TestSolveSpace:
         assert calls == []
 
     def test_pair_count_bracket_needs_no_upper_probe(self, monkeypatch):
-        # both bracket ends follow from the pair-count bound, so every
-        # evaluation is a bisection step
+        # both bracket ends follow from the pair-count bound, and secant probes
+        # leave the bisection almost nothing to probe
         calls = []
 
         def counting(t, p):
@@ -226,7 +242,20 @@ class TestSolveSpace:
 
         monkeypatch.setattr(solvers, "collision_probability", counting)
         solve_space(8_200_000_000, 0.5)
-        assert len(calls) <= 32
+        assert len(calls) <= 6
+
+    def test_cli_golden_root_takes_few_probes(self, probes):
+        # the root that `ropcalc solve-t -p 1000` prints, bit for bit
+        assert solve_space(1000, 0.5).value == 720959.4167795692
+        assert len(probes) <= 6
+
+    @pytest.mark.parametrize("tolerance", [1e-16, 1e-17, 1e-300])
+    def test_sub_ulp_tolerance_stops_at_adjacent_floats(self, probes, tolerance):
+        # no float lies between the bracket ends long before hi - lo <= tol * lo can
+        # hold; frozen: the root that bisection alone reaches, probing every midpoint
+        t = solve_space(10**6, SolveTarget(0.5, tolerance=tolerance)).value
+        assert t.hex() == "0x1.4fe747781c68fp+39"
+        assert len(probes) <= 10
 
     @pytest.mark.parametrize("p", [2, 3, 7, 24])
     @pytest.mark.parametrize("target", [0.9, 0.99, 1 - 1e-12, 1 - 2**-53])
@@ -277,3 +306,142 @@ class TestWorldOverlap:
         t1 = space_for_world_overlap(1)
         t2 = space_for_world_overlap(2)
         assert t1.value / t2.value == pytest.approx(2.0, rel=0.01)
+
+
+def _forward(t, p):
+    return collision_probability(t, p).probability
+
+
+def bisect_population(prob, t, goal):
+    """Plain bisection from the pair-count bracket [p0/2, 2*p0], probing every step."""
+    space = as_space_size(t)
+    cap = math.ceil(space.value) + 1
+    p0 = math.isqrt(math.ceil(2.0 * space.value * -math.log1p(-goal))) + 1
+    lo, hi = min(max(p0 // 2, 1), cap), min(2 * p0, cap)
+    if lo > 1 and prob(space, lo) >= goal:
+        lo, hi = 1, lo
+    elif prob(space, hi) < goal:
+        lo, hi = hi, cap
+        assert prob(space, hi) >= goal
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if prob(space, mid) >= goal else (mid, hi)
+    return hi
+
+
+def bisect_space(prob, p, x, tolerance=1e-9):
+    """Plain bisection on log t in the pair-count bracket, probing every midpoint."""
+    t0 = pair_count(p) / -math.log1p(-x)
+    lo, hi = max(1.0, t0 / 4.0), min(max(4.0 * t0, t0 + (p - 1)), MAX_SPACE)
+    if t0 > MAX_SPACE or hi == MAX_SPACE and prob(hi, p) > x:
+        raise DomainError("root above 1e30")
+    for _ in range(400):
+        if hi - lo <= tolerance * lo:
+            break
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if prob(mid, p) >= x else (lo, mid)
+    return math.sqrt(lo * hi)
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except DomainError:
+        return DomainError
+
+
+def _log_uniform(rng, a, b):
+    return math.exp(rng.uniform(math.log(a), math.log(b)))
+
+
+def _target(rng):
+    # targets from 1e-300 up, and from 1 - 2**-53 down
+    return rng.choice([_log_uniform(rng, 1e-300, 0.5), 1.0 - _log_uniform(rng, 2**-53, 0.5)])
+
+
+_RNG = random.Random(20261018)
+_POPULATION_CASES = [(round(_log_uniform(_RNG, 2**8, 1e30)), _target(_RNG)) for _ in range(150)] + [
+    (t, x) for t in range(2, 11) for x in (0.999, 1 - 1e-6, 1 - 1e-12, 1 - 2**-53)]
+_SPACE_CASES = [(round(_log_uniform(_RNG, 2, 5e11)), _target(_RNG)) for _ in range(150)] + [
+    (p, x) for p in (2, 3, 7, 24) for x in (0.9, 0.99, 1 - 1e-12, 1 - 2**-53)]
+
+
+class TestAgainstPlainBisection:
+    """The secant probes only skip evaluations: every answer is the bisection's, bit for bit."""
+
+    def test_population_answers_are_the_bisections(self):
+        for t, x in _POPULATION_CASES:
+            assert solve_population(t, x) == bisect_population(_forward, t, x), (t, x)
+
+    def test_space_roots_are_the_bisections(self):
+        for p, x in _SPACE_CASES:
+            got = _outcome(lambda: solve_space(p, x).value)
+            assert got == _outcome(bisect_space, _forward, p, x), (p, x)
+
+
+def _flat(z, x, true):
+    # x at the crossing z = 0, steep within 1e-3 of it, flat beyond
+    z *= 1e3
+    return x + (x / 2 * max(z, -1.0) if z < 0 else (1 - x) / 2 * min(z, 1.0))
+
+
+def _crawl(z, x, true):
+    # ln -log(1 - prob) is z**3 off its value at x: flat at the crossing itself, so
+    # a secant only creeps towards it, a fixed share closer each step
+    return -math.expm1(math.log1p(-x) * math.exp(max(min(z**3, 3.0), -3.0)))
+
+
+# Monotone forward maps that defeat a secant.  z is the log distance past the
+# crossing, positive where the map reaches x; true() is the real probability.
+ADVERSARIAL = {
+    "quantized": lambda z, x, true: math.floor(64 * true()) / 64,
+    "step": lambda z, x, true: 1.0 if z >= 0 else 0.0,
+    "flat": _flat,
+    "crawl": _crawl,
+}
+
+
+class TestAdversarialMaps:
+    """Where the secant finds nothing to follow, the bisection still costs at most 10 more probes."""
+
+    @staticmethod
+    def _patch(monkeypatch, prob):
+        monkeypatch.setattr(
+            solvers, "collision_probability", lambda t, p: SimpleNamespace(probability=prob(t, p)))
+
+    @pytest.mark.parametrize("kind", sorted(ADVERSARIAL))
+    def test_population(self, monkeypatch, kind):
+        shape, rng = ADVERSARIAL[kind], random.Random(kind)
+        for _ in range(20):
+            t, x = round(_log_uniform(rng, 2**8, 1e30)), rng.uniform(0.05, 0.95)
+            seed = math.sqrt(2 * t * -math.log1p(-x))
+            crossing = max(2, round(seed * _log_uniform(rng, 1 / 8, 8)))
+            calls = []
+
+            def prob(space, p):
+                calls.append(p)
+                return shape(math.log(p / crossing), x, lambda: _forward(space, p))
+
+            expected = bisect_population(prob, t, x)
+            most, calls[:] = len(calls) + 10, []
+            self._patch(monkeypatch, prob)
+            assert solve_population(t, x) == expected, (t, x, crossing)
+            assert len(calls) <= most, (t, x, crossing)
+
+    @pytest.mark.parametrize("kind", sorted(ADVERSARIAL))
+    def test_space(self, monkeypatch, kind):
+        shape, rng = ADVERSARIAL[kind], random.Random(kind)
+        for _ in range(20):
+            p, x = round(_log_uniform(rng, 3, 5e11)), rng.uniform(0.05, 0.95)
+            crossing = pair_count(p) / -math.log1p(-x) * _log_uniform(rng, 1 / 8, 8)
+            calls = []
+
+            def prob(t, p):
+                calls.append(t)
+                return shape(math.log(crossing / t), x, lambda: _forward(t, p))
+
+            expected = _outcome(bisect_space, prob, p, x)
+            most, calls[:] = len(calls) + 10, []
+            self._patch(monkeypatch, prob)
+            assert _outcome(lambda: solve_space(p, x).value) == expected, (p, x, crossing)
+            assert len(calls) <= most, (p, x, crossing)
