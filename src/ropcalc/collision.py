@@ -63,6 +63,11 @@ _AUTO_EXACT_FACTORS = 1 << 14
 # with margin; refuse the series above this draw/space ratio.
 _SERIES_MAX_RATIO = 0.5
 
+# Highest series order: an order-less scan stops here at the latest, and an
+# explicit order above it is refused.  A scan at k needs power sums 1..k+1 of
+# one population at once, which is what the power-sum cache is sized for.
+_MAX_ORDER = 512
+
 # Fixed block length for the exact product sum.  Blocks are summed with
 # numpy's pairwise reduction and combined with Neumaier compensation, so
 # the partitioning itself is part of the (deterministic) algorithm.
@@ -186,11 +191,24 @@ class EvalResult:
     order: "int | None" = None
 
 
+def _frozen(cls, fields: dict):
+    """A frozen dataclass instance built from ``fields`` without ``__init__``.
+
+    The generated ``__init__`` of a frozen dataclass makes one
+    ``object.__setattr__`` call per field; one ``__dict__`` fill is about a
+    third of that.  Only for classes with no ``__post_init__`` to skip.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _result_from_log(v: float, method: str, bound: float, order=None) -> EvalResult:
     prob = -math.expm1(v)
     if prob == 0.0:
         prob = 0.0  # normalize -0.0
-    return EvalResult(prob, v, method, bound, order)
+    return _frozen(EvalResult, {"probability": prob, "log_survival": v, "method": method,
+                                "abs_error_bound": bound, "order": order})
 
 
 def pair_count(n) -> int:
@@ -266,13 +284,15 @@ def survival_log_exact(t, p, *, budget: int = DEFAULT_EXACT_BUDGET) -> float:
 
 # --- exact cumulative power sums ------------------------------------------
 
-# Over 2 x 513 entries: two scans at the 512-order cap (orders 1..513 each) fit.
+# Over 2 x 513 entries: two scans at the order cap (orders 1..513 each) fit.
 @lru_cache(maxsize=1 << 11)
 def _power_sum(k: int, m: int) -> int:
     """Exact sum of n**k for n = 1..m (k >= 1), in integer arithmetic.
 
-    No loop over n, so m may be 1e13 or larger.  Summing Pascal's identity
-    (n+1)**(k+1) - n**(k+1) = sum_{j=0..k} C(k+1, j) n**j over n = 1..m gives
+    No loop over n, so m may be 1e13 or larger.  The base cases are the
+    closed forms S_1 = m(m+1)/2, S_2 = S_1(2m+1)/3 and S_3 = S_1**2.  Above
+    them, summing Pascal's identity (n+1)**(k+1) - n**(k+1) =
+    sum_{j=0..k} C(k+1, j) n**j over n = 1..m gives
     (m+1)**(k+1) - 1 - m = sum_{j=1..k} C(k+1, j) S_j(m), and C(k+1, k) = k+1
     leaves S_k(m) as the one unknown.  The lower orders S_j come from this
     function's own cache, so a cold call also computes orders 1..k-1;
@@ -281,6 +301,11 @@ def _power_sum(k: int, m: int) -> int:
     """
     if m <= 0:
         return 0
+    if k <= 3:
+        s1 = m * (m + 1) // 2
+        if k == 1:
+            return s1
+        return s1 * (2 * m + 1) // 3 if k == 2 else s1 * s1
     kp1 = k + 1
     lower = sum(math.comb(kp1, j) * _power_sum(j, m) for j in range(1, k))
     s, r = divmod((m + 1) ** kp1 - 1 - m - lower, kp1)
@@ -311,6 +336,8 @@ def _series_term(k: int, m: int, t: float, log_t: float) -> float:
 def _check_order(order) -> None:
     if not isinstance(order, int) or isinstance(order, bool) or order < 2:
         raise DomainError(f"series order must be an integer >= 2, got {order!r}")
+    if order > _MAX_ORDER:
+        raise DomainError(f"series order must be at most {_MAX_ORDER}, got {order}")
 
 
 def _prob_bound(v: float, tail: float) -> float:
@@ -326,8 +353,9 @@ def _prob_bound(v: float, tail: float) -> float:
     dominates whenever the probability sits next to 1.
     """
     slack = _ROUNDING_UNIT * (1.0 + abs(v))
-    scale = math.exp(min(0.0, v + tail + slack))
-    return min(1.0, (tail + slack) * scale + _FINAL_ROUNDING)
+    x = v + tail + slack
+    bound = (tail + slack) * math.exp(x if x < 0.0 else 0.0) + _FINAL_ROUNDING
+    return bound if bound < 1.0 else 1.0
 
 
 def _series_scan(t: float, p: int, order=None):
@@ -354,7 +382,7 @@ def _series_scan(t: float, p: int, order=None):
     # Neumaier step from zero.
     total, comp = _series_term(1, m, t, log_t), 0.0
     omitted = _series_term(2, m, t, log_t)
-    k, last = 1, order or 512
+    k, last = 1, order or _MAX_ORDER
     while True:
         k += 1
         total, comp = _neumaier(total, comp, omitted)
@@ -370,7 +398,7 @@ def survival_log_series(t, p, order: int) -> "tuple[float, float]":
     Returns ``(value, abs_error_bound)`` where the bound is the magnitude
     of the first omitted term times the geometric safety factor
     1 / (1 - p/t).  Certified only for p/t < 1/2; larger ratios are
-    refused.  ``order`` must be at least 2.  Cost does not grow with p.
+    refused.  ``order`` must be from 2 to 512.  Cost does not grow with p.
     """
     space = as_space_size(t)
     p = _as_count(p)

@@ -31,6 +31,7 @@ from .collision import (
     EvalResult,
     IterationBudgetError,
     SpaceSize,
+    _frozen,
     as_space_size,
     collision_probability,
 )
@@ -64,6 +65,7 @@ _DELIMITERS = (",", "\t", ";")
 # group-separated non-negative integer: digits possibly broken by commas,
 # underscores, or stray spaces ("8,419,600", "565, 239", "1_000")
 _GROUPED_INT = re.compile(r"\+?\d[\d,_ ]*")
+_DROP_SEPARATORS = str.maketrans("", "", ",_ +")
 
 
 class IngestError(ValueError):
@@ -174,10 +176,12 @@ def rop_table(records, space) -> "list[RopEntry]":
         if not isinstance(rec, PopulationRecord):
             raise DomainError(f"expected PopulationRecord, got {type(rec).__name__}")
         try:
-            result = rop(rec.population, space)
+            # the module-level name, so a caller that rebinds it sees every row
+            result = collision_probability(space, rec.population)
         except (DomainError, IterationBudgetError) as err:
             raise type(err)(f"record '{rec.name}': {err}") from err
-        out.append(RopEntry(rec, result, format_percent(result.probability)))
+        out.append(_frozen(RopEntry, {"record": rec, "result": result,
+                                      "display": format_percent(result.probability)}))
     return out
 
 
@@ -187,8 +191,7 @@ def _parse_grouped_int(text: str) -> int:
     cleaned = text.strip().strip('"').strip()
     if not cleaned or not _GROUPED_INT.fullmatch(cleaned):
         raise ValueError(f"not a whole number: {text!r}")
-    digits = re.sub(r"[,_ +]", "", cleaned)
-    return int(digits)
+    return int(cleaned.translate(_DROP_SEPARATORS))
 
 
 def parse_populations(text: str, *, delimiter=None) -> "list[PopulationRecord]":

@@ -281,6 +281,11 @@ class TestExitCodes:
         code, out, err = run(capsys, "prob", "-t", "365", "-p", "23", "--order", "6")
         assert code == 3 and out == "" and "series method" in err
 
+    def test_order_above_the_cap_is_three(self, capsys):
+        code, out, err = run(capsys, "prob", "-t", "1e12", "-p", "1e6",
+                             "--method", "series", "--order", "513")
+        assert code == 3 and out == "" and "at most 512" in err
+
     def test_space_over_ceiling_is_three(self, capsys):
         code, _, err = run(capsys, "prob", "-t", "1e40", "-p", "3")
         assert code == 3

@@ -5,6 +5,7 @@ Expected constants were derived ahead of time from independent oracles
 brute force) and are frozen here as literals.
 """
 
+import dataclasses
 import math
 import random
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 
 from ropcalc import (
     DomainError,
+    EvalResult,
     IterationBudgetError,
     SeriesBoundError,
     SpaceSize,
@@ -252,6 +254,15 @@ class TestSurvivalLogSeries:
         with pytest.raises(DomainError):
             survival_log_series(365, 23, order=-2)
 
+    def test_order_above_the_cap_is_refused(self):
+        # the power-sum cache holds two scans at order 512; past it the
+        # scan would thrash the cache and take seconds per call
+        assert survival_log_series(1e12, 10**6, 512)[0] < 0.0
+        with pytest.raises(DomainError, match="at most 512, got 513"):
+            survival_log_series(1e12, 10**6, 513)
+        with pytest.raises(DomainError, match="at most 512"):
+            collision_probability(1e12, 10**6, "series", order=513)
+
     def test_trivial_population(self):
         assert survival_log_series(365, 1, order=4) == (0.0, 0.0)
         assert survival_log_series(365, 0, order=4) == (0.0, 0.0)
@@ -272,6 +283,21 @@ class TestSurvivalLogSeries:
 
 
 class TestCollisionProbability:
+    @pytest.mark.parametrize("t, p, method", [
+        (365, 23, "exact"), (2**36, 467_963, "auto"), (1e12, 10**6, "series"),
+        (365, 1, "auto"), (365, 400, "auto"),
+    ])
+    def test_results_are_ordinary_frozen_records(self, t, p, method):
+        r = collision_probability(t, p, method)
+        twin = EvalResult(**{f.name: getattr(r, f.name) for f in dataclasses.fields(EvalResult)})
+        assert type(r) is EvalResult
+        assert r == twin and hash(r) == hash(twin) and repr(r) == repr(twin)
+        assert dataclasses.asdict(r) == dataclasses.asdict(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.probability = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.extra = 1
+
     def test_classic_birthday_number(self):
         r = collision_probability(365, 23, "exact")
         assert r.probability == pytest.approx(B_365_23, abs=1e-12)

@@ -6,10 +6,14 @@ The 22 expected table strings were verified against an independent
 two-decimal rounding boundary: 0.0046 percentage points).
 """
 
+import dataclasses
+import importlib
 import io
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ropcalc import (
     DomainError,
@@ -17,6 +21,8 @@ from ropcalc import (
     IngestError,
     PopulationRecord,
     RegionModel,
+    RopEntry,
+    collision_probability,
     dump_populations,
     format_percent,
     load_bundled_cities,
@@ -52,6 +58,12 @@ CITY_GOLDENS = [
     ("Lexington", 322_570, "53.10%"),
     ("Anchorage", 291_247, "46.05%"),
 ]
+
+# The model spaces tables are shown over: Galton, regions, 1e12 and 2^64.
+TABLE_SPACES = (2**36, 2**47, 10**12, 2**64)
+
+# The package re-exports a function named rop, which hides the module.
+rop_module = importlib.import_module("ropcalc.rop")
 
 
 class TestModels:
@@ -146,6 +158,32 @@ class TestRopTable:
     def test_bad_record_type_rejected(self, galton_space):
         with pytest.raises(DomainError):
             rop_table([("Miami", 467_963)], galton_space)
+
+    def test_entries_are_ordinary_frozen_records(self, galton_space):
+        for entry in rop_table(load_bundled_cities(), galton_space):
+            twin = RopEntry(entry.record, entry.result, entry.display)
+            assert type(entry) is RopEntry
+            assert entry == twin and hash(entry) == hash(twin) and repr(entry) == repr(twin)
+            assert dataclasses.asdict(entry) == dataclasses.asdict(twin)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                entry.display = "50.00%"
+
+    def test_every_row_goes_through_the_rebindable_name(self, monkeypatch):
+        # a caller that rebinds ropcalc.rop.collision_probability, as a
+        # tracer does, must see every row of every table
+        calls = []
+
+        def counting(t, p, *args, **kwargs):
+            calls.append((t, p))
+            return collision_probability(t, p, *args, **kwargs)
+
+        monkeypatch.setattr(rop_module, "collision_probability", counting)
+        cities = load_bundled_cities()
+        tables = [rop_table(cities, space) for space in TABLE_SPACES]
+        assert len(calls) == len(cities) * len(TABLE_SPACES)
+        for space, table in zip(TABLE_SPACES, tables):
+            for entry in table:
+                assert entry.result == collision_probability(space, entry.record.population)
 
     def test_record_errors_name_the_record(self):
         from ropcalc import IterationBudgetError
@@ -270,6 +308,36 @@ class TestParsePopulations:
         text = "# c\n\nname,population\n# c\nA,x\n"
         with pytest.raises(IngestError, match="line 5"):
             parse_populations(text)
+
+
+def _grouped_styles(n, delimiter):
+    """The four ways a generated city table writes n: plain, _, and two comma forms."""
+    commas = f"{n:,}"
+    styles = [str(n), f"{n:_}", commas, commas.replace(",", ", ", 1)]
+    if delimiter == ",":
+        styles[2:] = [f'"{text}"' for text in styles[2:]]
+    return styles
+
+
+class TestGroupedDigits:
+    @given(st.integers(min_value=0, max_value=10**13))
+    def test_every_style_parses_back(self, n):
+        for delimiter in (",", "\t", ";"):
+            rows = [f"c{i}{delimiter}{cell}" for i, cell in enumerate(_grouped_styles(n, delimiter))]
+            text = "\n".join([f"name{delimiter}population", *rows]) + "\n"
+            records = parse_populations(text, delimiter=delimiter)
+            assert [r.population for r in records] == [n] * 4
+
+    @pytest.mark.parametrize("delimiter", [",", "\t", ";"])
+    def test_non_integers_stay_refused_with_line_numbers(self, delimiter):
+        cells = ["1.5", "-3", "1e3", "12a", '""']
+        rows = [f"c{i}{delimiter}{cell}" for i, cell in enumerate(cells)]
+        text = "\n".join([f"name{delimiter}population", "ok" + delimiter + "7", *rows]) + "\n"
+        with pytest.raises(IngestError) as exc:
+            parse_populations(text)
+        shown = ["'1.5'", "'-3'", "'1e3'", "'12a'", "''"]
+        assert str(exc.value) == "; ".join(
+            f"line {line}: not a whole number: {cell}" for line, cell in enumerate(shown, start=3))
 
 
 class TestLoadDump:
