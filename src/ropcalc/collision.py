@@ -24,8 +24,9 @@ pure and safe for concurrent use.
 """
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import add, mul
 
 __all__ = [
     "DomainError",
@@ -249,7 +250,8 @@ def _survival_log_product(t: float, p: int) -> float:
     total = comp = 0.0
     for start in range(1, p, _BLOCK):
         n = np.arange(start, min(p, start + _BLOCK), dtype=np.float64)
-        total, comp = _neumaier(total, comp, float(np.sum(np.log1p(-(n / t)))))
+        np.divide(n, -t, out=n)  # in place, with no block-sized temporaries: -(n / t) exactly
+        total, comp = _neumaier(total, comp, float(np.log1p(n, out=n).sum()))
     return total + comp
 
 
@@ -284,34 +286,43 @@ def survival_log_exact(t, p, *, budget: int = DEFAULT_EXACT_BUDGET) -> float:
 
 # --- exact cumulative power sums ------------------------------------------
 
-# Over 2 x 513 entries: two scans at the order cap (orders 1..513 each) fit.
-@lru_cache(maxsize=1 << 11)
-def _power_sum(k: int, m: int) -> int:
-    """Exact sum of n**k for n = 1..m (k >= 1), in integer arithmetic.
+# Power sums of recent populations, least recently used first: m -> [m, S_1(m), ..., S_j(m)],
+# S_k(m) at index k (S_0(m) = m).  Whole populations are evicted to hold at most 2**11 sums
+# S_1, S_2, ...; two scans at the order cap (orders 1..513) fit.  _ROWS[n] is C(n, 0..n),
+# each row added up from the one before; order-less scans need rows to 47, the cap row 514.
+_SUMS: dict = {}
+_sums_held = 0
+_ROWS = [(1,)]
+_sums_lock = threading.Lock()  # held around every read and extension of _SUMS and _ROWS
 
-    No loop over n, so m may be 1e13 or larger.  The base cases are the
-    closed forms S_1 = m(m+1)/2, S_2 = S_1(2m+1)/3 and S_3 = S_1**2.  Above
-    them, summing Pascal's identity (n+1)**(k+1) - n**(k+1) =
-    sum_{j=0..k} C(k+1, j) n**j over n = 1..m gives
-    (m+1)**(k+1) - 1 - m = sum_{j=1..k} C(k+1, j) S_j(m), and C(k+1, k) = k+1
-    leaves S_k(m) as the one unknown.  The lower orders S_j come from this
-    function's own cache, so a cold call also computes orders 1..k-1;
-    ``_series_scan`` asks for k = 1, 2, 3, ... in order and pays one new
-    order per term.
-    """
-    if m <= 0:
-        return 0
-    if k <= 3:
+
+def _power_sums(m: int, k: int) -> list:
+    """The cached sums of m, made most recently used and extended through S_k(m).
+
+    S_j(m), the sum of n**j for n = 1..m, is exact in integers with no loop over n.
+    A new m starts from the closed forms S_1 = m(m+1)/2, S_2 = S_1(2m+1)/3 and
+    S_3 = S_1**2.  Above them, Pascal's identity summed over n = 1..m gives
+    (m+1)**(j+1) - 1 = sum_{i=0..j} C(j+1, i) S_i(m), and C(j+1, j) = j+1 leaves
+    S_j(m) the one unknown: one dot product of a Pascal row with the lower sums per
+    new order, and one append, so an interrupted extension leaves whole orders.
+    The caller holds ``_sums_lock``."""
+    global _sums_held
+    if (sums := _SUMS.pop(m, None)) is None:
         s1 = m * (m + 1) // 2
-        if k == 1:
-            return s1
-        return s1 * (2 * m + 1) // 3 if k == 2 else s1 * s1
-    kp1 = k + 1
-    lower = sum(math.comb(kp1, j) * _power_sum(j, m) for j in range(1, k))
-    s, r = divmod((m + 1) ** kp1 - 1 - m - lower, kp1)
-    if r:
-        raise AssertionError(f"power sum came out non-integral for k={k}, m={m}")
-    return s
+        sums = [m, s1, s1 * (2 * m + 1) // 3, s1 * s1]
+        _sums_held += 3
+    _SUMS[m] = sums
+    while (j := len(sums)) <= k:
+        while len(_ROWS) <= j + 1:
+            _ROWS.append((1, *map(add, row := _ROWS[-1], row[1:]), 1))
+        s, r = divmod((m + 1) ** (j + 1) - 1 - sum(map(mul, _ROWS[j + 1], sums)), j + 1)
+        if r:
+            raise AssertionError(f"power sum came out non-integral for k={j}, m={m}")
+        sums.append(s)
+        _sums_held += 1
+    while _sums_held > 1 << 11:
+        _sums_held -= len(_SUMS.pop(next(iter(_SUMS)))) - 1
+    return sums
 
 
 def _log_int(n: int) -> float:
@@ -322,9 +333,8 @@ def _log_int(n: int) -> float:
     return math.log(n >> shift) + shift * _LN2
 
 
-def _series_term(k: int, m: int, t: float, log_t: float) -> float:
-    """Value of power_sum(k, m) / (k * t**k), overflow-safe."""
-    s = _power_sum(k, m)
+def _series_term(s: int, k: int, t: float, log_t: float) -> float:
+    """Value of s / (k * t**k) for the power sum s = S_k(m), overflow-safe."""
     # Direct evaluation while numerator and denominator both fit in floats;
     # otherwise fall back to log space (t**k overflows doubles long before
     # the term itself stops mattering).
@@ -378,18 +388,22 @@ def _series_scan(t: float, p: int, order=None):
     m = p - 1
     log_t = math.log(t)
     geom = 1.0 / (1.0 - ratio)
-    # Starting the sum at term 1 with no compensation is bit-identical to a
-    # Neumaier step from zero.
-    total, comp = _series_term(1, m, t, log_t), 0.0
-    omitted = _series_term(2, m, t, log_t)
-    k, last = 1, order or _MAX_ORDER
-    while True:
-        k += 1
-        total, comp = _neumaier(total, comp, omitted)
-        omitted = _series_term(k + 1, m, t, log_t)
-        value, tail = -(total + comp), omitted * geom
-        if k >= last or order is None and tail <= _ROUNDING_UNIT * -value:
-            return value, tail, k
+    with _sums_lock:  # an order-less scan extends the sums one order at a time
+        sums = _power_sums(m, (order or 2) + 1)
+        # Starting the sum at term 1 with no compensation is bit-identical to
+        # a Neumaier step from zero.
+        total, comp = _series_term(sums[1], 1, t, log_t), 0.0
+        omitted = _series_term(sums[2], 2, t, log_t)
+        k, last = 1, order or _MAX_ORDER
+        while True:
+            k += 1
+            total, comp = _neumaier(total, comp, omitted)
+            if len(sums) == k + 1:
+                sums = _power_sums(m, k + 1)
+            omitted = _series_term(sums[k + 1], k + 1, t, log_t)
+            value, tail = -(total + comp), omitted * geom
+            if k >= last or order is None and tail <= _ROUNDING_UNIT * -value:
+                return value, tail, k
 
 
 def survival_log_series(t, p, order: int) -> "tuple[float, float]":

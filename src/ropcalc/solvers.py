@@ -117,9 +117,15 @@ def solve_population(t, target) -> int:
     # [1, 2*p0] to prob(lo) < goal <= prob(hi); an unprobed hi that misses falls back to the cap
     p0 = math.isqrt(math.ceil(2.0 * space.value * -math.log1p(-goal))) + 1
     ends = [1, min(2 * p0, cap)]
-    _secant(lambda n: _prob(space, n), goal, p0, 0.5, ends,
-            lambda n, r: min(max(math.ceil(r), ends[0] + 1), ends[1] - 1))
+    r = _secant(lambda n: _prob(space, n), goal, p0, 0.5, ends,
+                lambda n, r: min(max(math.ceil(r), ends[0] + 1), ends[1] - 1))
     lo, hi = ends
+    # secant probes that tie near probability 1 (flat float probability) leave lo at 1 and r at the
+    # hit hi: gallop down to hi - 1, 2, 4, 16, 256, ... to a miss; squared steps cap it at 7 probes
+    top, step = hi, 1
+    while lo == 1 < top - step and r > top - 1:
+        lo, hi = (lo, top - step) if _prob(space, top - step) >= goal else (top - step, hi)
+        step = max(2, step * step)
     if hi == min(2 * p0, cap) and _prob(space, hi) < goal:
         lo, hi = hi, cap
         if _prob(space, hi) < goal:

@@ -10,6 +10,7 @@ import math
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -25,7 +26,8 @@ from ropcalc import (
     survival_log_exact,
     survival_log_series,
 )
-from ropcalc.collision import _power_sum, _series_scan, _survival_log_product
+from ropcalc import collision
+from ropcalc.collision import _series_scan, _survival_log_product
 
 from conftest import fsum_survival_log, rational_collision
 
@@ -135,6 +137,21 @@ class TestSurvivalLogExact:
             fsum_survival_log(t, p), rel=1e-13, abs=1e-18
         )
 
+    # frozen: multi-block products as the out-of-place kernel summed them
+    # (block sums of log1p(-(n / t))), at a mid ratio and at t = p - 0.5
+    EXACT_MULTI_BLOCK = [
+        (2**16 + 2, 262152.0, "-0x1.187c43ec8de6fp+13"),
+        (2**16 + 2, 65537.5, "-0x1.00012746deaeep+16"),
+        (3 * 2**16 + 5, 786452.0, "-0x1.a4bb003b46313p+14"),
+        (3 * 2**16 + 5, 196612.5, "-0x1.800213a37673dp+17"),
+    ]
+
+    @pytest.mark.parametrize("p, t, frozen", EXACT_MULTI_BLOCK)
+    def test_multi_block_products_are_frozen(self, p, t, frozen):
+        v = survival_log_exact(t, p)
+        assert v.hex() == frozen
+        assert v == pytest.approx(fsum_survival_log(t, p), rel=1e-13)
+
     def test_deterministic(self):
         a = survival_log_exact(2**36, 123_457)
         b = survival_log_exact(2**36, 123_457)
@@ -158,6 +175,19 @@ class TestSurvivalLogExact:
         assert math.isfinite(v) and v < -10
 
 
+def _power_sum(k, m):
+    """Exact sum of n**k for n = 1..m (k >= 1), read from the shared cache."""
+    with collision._sums_lock:
+        return collision._power_sums(m, k)[k]
+
+
+@pytest.fixture
+def cold_sums(monkeypatch):
+    """An empty power-sum cache for one test; the shared one comes back after."""
+    monkeypatch.setattr(collision, "_SUMS", {})
+    monkeypatch.setattr(collision, "_sums_held", 0)
+
+
 class TestPowerSum:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_matches_brute_force(self, k):
@@ -174,7 +204,7 @@ class TestPowerSum:
         assert _power_sum(5, 0) == 0
 
     @pytest.mark.parametrize("q", [10_007, 65_521])
-    def test_high_order_huge_m_against_modular_oracle(self, q):
+    def test_high_order_huge_m_against_modular_oracle(self, q, cold_sums):
         # n**k mod q repeats with period q in n, so the sum mod q needs only
         # one full period and a remainder; pow(n, k, q) is independent of
         # the recurrence.  k = 513 is the scan cap plus its omitted term.
@@ -183,22 +213,78 @@ class TestPowerSum:
                 return sum(pow(n, k, q) for n in range(1, upto + 1))
             return ((m // q) * period_sum(q) + period_sum(m % q)) % q
 
-        _power_sum.cache_clear()  # the cold path computes every lower order
-        m = 10**13 + 12_345
+        m = 10**13 + 12_345  # from an empty cache, k = 513 computes every lower order
         for k in (513, 13, 64, 200, 511, 512):
             assert _power_sum(k, m) % q == oracle(k, m)
 
-    def test_cold_scan_at_the_cap_computes_each_order_once(self):
+    def test_cold_scan_at_the_cap_computes_each_order_once(self, cold_sums, monkeypatch):
         # the scan at the order cap needs orders 1..513 of one m at once; a
         # cache too small for them would evict and recompute its own lower
-        # orders, and the misses would exceed 513
-        _power_sum.cache_clear()
+        # orders.  Orders 1..3 come from closed forms when m is first seen;
+        # each higher order j divides by j + 1 once.
+        divisors = []
+
+        def recording(a, b):
+            divisors.append(b)
+            return divmod(a, b)
+
+        monkeypatch.setattr(collision, "divmod", recording, raising=False)
         _series_scan(1e12, 10**6, 512)
-        assert _power_sum.cache_info().misses == 513
+        assert divisors == list(range(5, 515))
+        assert list(collision._SUMS) == [10**6 - 1] and collision._sums_held == 513
         # two populations at the cap fit together, so going back costs nothing
         _series_scan(1e12, 10**6 + 1, 512)
         _series_scan(2e12, 10**6, 512)
-        assert _power_sum.cache_info().misses == 2 * 513
+        assert divisors == 2 * list(range(5, 515))
+        assert collision._sums_held == 2 * 513
+
+    def test_distinct_populations_at_the_cap_stay_within_the_bound(self, cold_sums):
+        # whole populations are evicted, least recently used first, so at most
+        # 2**11 sums stay cached however many scans run at the order cap
+        for p in range(2, 66):
+            _series_scan(1e12, p, 512)
+            held = [len(sums) - 1 for sums in collision._SUMS.values()]
+            assert sum(held) == collision._sums_held <= 1 << 11
+            assert held[-1] == 513  # the newest population is whole
+
+    def test_concurrent_cold_scans_match_a_single_thread(self, cold_sums):
+        # four threads share some populations and keep others to themselves,
+        # order-less and at explicit orders up to 80; every answer is the one
+        # a single thread gets from an empty cache, compared by hex
+        rng = random.Random(20261018)
+        shared = [rng.randrange(10**4, 10**8) for _ in range(12)]
+        jobs = [[(p * rng.choice([3, 10, 1e3, 1e6]), p,
+                  rng.choice([None, None, rng.randint(2, 80)]))
+                 for p in shared + [rng.randrange(10**4, 10**8) for _ in range(12)]]
+                for _ in range(4)]
+
+        def run(batch):
+            return [tuple(map(float.hex, _series_scan(t, p, order)[:2])) for t, p, order in batch]
+
+        expected = [run(batch) for batch in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            for _ in range(3):  # each round from an empty cache
+                collision._SUMS.clear()
+                collision._sums_held = 0
+                results, barrier = [None] * 4, threading.Barrier(4, timeout=60)
+
+                def worker(i):
+                    barrier.wait()
+                    results[i] = run(jobs[i])
+
+                threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == expected
+                held = sum(len(sums) - 1 for sums in collision._SUMS.values())
+                assert held == collision._sums_held
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSurvivalLogSeries:

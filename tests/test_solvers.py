@@ -141,6 +141,25 @@ class TestSolvePopulation:
         solve_population(t, target)
         assert len(calls) <= most
 
+    @pytest.mark.parametrize("t, target", [(1.387e28, 0.99944), (5e29, 0.9995)])
+    def test_tied_secant_gallops_down_from_its_hit(self, probes, t, target):
+        # two secant probes tie near probability 1 and leave no miss; bisecting
+        # from 1 took 51 and 54 probes here, galloping down from the hit takes few
+        answer = solve_population(t, target)
+        assert len(probes) <= 15
+        assert collision_probability(t, answer - 1).probability < target
+        assert collision_probability(t, answer).probability >= target
+
+    def test_tied_secant_answers_are_frozen(self):
+        # frozen: the answers of the bisection from 1 that the gallop replaced
+        rng = random.Random(20261018)
+        cases = [(round(_log_uniform(rng, 1e26, 1e30)), 1 - _log_uniform(rng, 6e-7, 6e-4))
+                 for _ in range(12)]
+        assert [solve_population(t, x) for t, x in cases] == [
+            2630307839427341, 1491240921987310, 464546771037746, 86158282691673,
+            64566166148834, 582700282292571, 108273592296609, 3525477517166878,
+            1587625434240007, 75497874628753, 3229473361606961, 1765066682715806]
+
     def test_search_cap_is_the_pigeonhole_cutoff_above_2_pow_63(self, monkeypatch):
         # A forward map that only reports a repeat once one is forced makes
         # the search run up to its cap, which must be the first p with
