@@ -25,6 +25,7 @@ pure and safe for concurrent use.
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from operator import add, mul
 
@@ -54,11 +55,12 @@ MAX_SPACE = 1e30
 # otherwise; 1e8 log1p evaluations complete in a few seconds.
 DEFAULT_EXACT_BUDGET = 10**8
 
-# Auto takes the certified series (p/t < 1/2) when p/t <= 1e-4 or the O(p)
-# product has over 2**14 factors: a cold scan costs 10-70 us to p/t = 0.1 and
-# 0.2-0.3 ms at 0.45 whatever p is, the product ~0.08 ms at 2**14, ~1 ms at 1e5.
+# Auto takes the certified series (p/t < 1/2) when p/t <= 1e-4, and otherwise the
+# route predicted cheaper: a cold scan to order k (_LOG_STOP) costs about as much as
+# a product of 48 k**2 + 200 factors, the fit with the least summed cold cost over a
+# grid of p in [10, 6e4] by p/t in [1e-4, 1/2) (README).
 _AUTO_SERIES_RATIO = 1e-4
-_AUTO_EXACT_FACTORS = 1 << 14
+_AUTO_FACTORS_PER_ORDER2, _AUTO_FACTORS_BASE = 48, 200
 
 # The certified geometric tail bound needs the term ratio to stay below 1
 # with margin; refuse the series above this draw/space ratio.
@@ -86,6 +88,12 @@ _ROUNDING_UNIT = 1e-13
 _FINAL_ROUNDING = 5e-16
 
 _LN2 = math.log(2.0)
+
+# An order-less scan at p/t = x stops near order 1 + ln(5e-11) / ln x, where its terms,
+# about x**k / (k (k + 1)) of the value, reach the 1e-13 share: 4.4, 11.3 and 30.7 at
+# x = 1e-3, 0.1 and 0.45 against real stops 4, 12 and 31.  None stopped below
+# ln(5e-11) / ln((p - 1)/t) on 10,387 grid points with p - 1 from 1 to 1e25.
+_LOG_STOP = math.log(5e-11)
 
 EXACT = "exact"
 SERIES = "series"
@@ -197,7 +205,7 @@ def _frozen(cls, fields: dict):
 
     The generated ``__init__`` of a frozen dataclass makes one
     ``object.__setattr__`` call per field; one ``__dict__`` fill is about a
-    third of that.  Only for classes with no ``__post_init__`` to skip.
+    third of that.  Skips ``__post_init__``: only for fields already checked.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -290,7 +298,7 @@ def survival_log_exact(t, p, *, budget: int = DEFAULT_EXACT_BUDGET) -> float:
 # S_k(m) at index k (S_0(m) = m).  Whole populations are evicted to hold at most 2**11 sums
 # S_1, S_2, ...; two scans at the order cap (orders 1..513) fit.  _ROWS[n] is C(n, 0..n),
 # each row added up from the one before; order-less scans need rows to 47, the cap row 514.
-_SUMS: dict = {}
+_SUMS: OrderedDict = OrderedDict()
 _sums_held = 0
 _ROWS = [(1,)]
 _sums_lock = threading.Lock()  # held around every read and extension of _SUMS and _ROWS
@@ -307,11 +315,11 @@ def _power_sums(m: int, k: int) -> list:
     new order, and one append, so an interrupted extension leaves whole orders.
     The caller holds ``_sums_lock``."""
     global _sums_held
-    if (sums := _SUMS.pop(m, None)) is None:
+    if (sums := _SUMS.get(m)) is None:
         s1 = m * (m + 1) // 2
-        sums = [m, s1, s1 * (2 * m + 1) // 3, s1 * s1]
+        sums = _SUMS[m] = [m, s1, s1 * (2 * m + 1) // 3, s1 * s1]
         _sums_held += 3
-    _SUMS[m] = sums
+    _SUMS.move_to_end(m)
     while (j := len(sums)) <= k:
         while len(_ROWS) <= j + 1:
             _ROWS.append((1, *map(add, row := _ROWS[-1], row[1:]), 1))
@@ -321,7 +329,7 @@ def _power_sums(m: int, k: int) -> list:
         sums.append(s)
         _sums_held += 1
     while _sums_held > 1 << 11:
-        _sums_held -= len(_SUMS.pop(next(iter(_SUMS)))) - 1
+        _sums_held -= len(_SUMS.popitem(last=False)[1]) - 1
     return sums
 
 
@@ -388,8 +396,11 @@ def _series_scan(t: float, p: int, order=None):
     m = p - 1
     log_t = math.log(t)
     geom = 1.0 / (1.0 - ratio)
-    with _sums_lock:  # an order-less scan extends the sums one order at a time
-        sums = _power_sums(m, (order or 2) + 1)
+    # an order-less scan extends the sums at once to an order it does not stop
+    # below (_LOG_STOP), which is 2 or more once m/t >= p/2t > 5e-5
+    first = order or (2 if ratio <= _AUTO_SERIES_RATIO else int(_LOG_STOP / math.log(m / t)))
+    with _sums_lock:  # and then one order at a time
+        sums = _power_sums(m, first + 1)
         # Starting the sum at term 1 with no compensation is bit-identical to
         # a Neumaier step from zero.
         total, comp = _series_term(sums[1], 1, t, log_t), 0.0
@@ -429,9 +440,11 @@ def collision_probability(
 
     ``method`` is "exact", "series", or "auto".  Auto takes the series
     wherever it is certified (p/t < 1/2) and either p/t <= 1e-4 or the
-    product would need more than 2**14 factors; otherwise it runs the exact
-    product within ``exact_budget``.  The series grows its order until the
-    truncation bound on ``log_survival`` is at most 1e-13 of its magnitude.
+    product would need more than 48 k**2 + 200 factors, where
+    k = 1 + ln(5e-11) / ln(p/t) is the order the series is predicted to stop
+    at; otherwise it runs the exact product within ``exact_budget``.  The
+    series grows its order until the truncation bound on ``log_survival`` is
+    at most 1e-13 of its magnitude.
 
     Two short circuits need no iteration at all: p <= 1 gives probability
     exactly 0, and p >= t + 1 gives probability exactly 1 (some value must
@@ -461,8 +474,12 @@ def collision_probability(
                 f"p/t = {ratio:.3g} is too large for the certified series; "
                 "raise exact_budget to force the product evaluation"
             )
-        cheap = ratio <= _AUTO_SERIES_RATIO or p - 1 > min(exact_budget, _AUTO_EXACT_FACTORS)
-        method = SERIES if cheap and ratio < _SERIES_MAX_RATIO else EXACT
+        if _AUTO_SERIES_RATIO < ratio < _SERIES_MAX_RATIO:
+            k = 1.0 + _LOG_STOP / math.log(ratio)
+            cheap = p - 1 > min(exact_budget, _AUTO_FACTORS_PER_ORDER2 * k * k + _AUTO_FACTORS_BASE)
+        else:
+            cheap = ratio <= _AUTO_SERIES_RATIO
+        method = SERIES if cheap else EXACT
 
     if method == EXACT:
         # p <= 1 and the pigeonhole case are settled above; only the budget is left

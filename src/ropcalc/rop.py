@@ -194,6 +194,12 @@ def _parse_grouped_int(text: str) -> int:
     return int(cleaned.translate(_DROP_SEPARATORS))
 
 
+def _cells(line: str, delimiter: str) -> "list[str]":
+    # as csv.reader reads this line alone (an unterminated quote ends with the
+    # line), building the reader only where a quote can change the cells
+    return next(csv.reader([line], delimiter=delimiter)) if '"' in line else line.split(delimiter)
+
+
 def parse_populations(text: str, *, delimiter=None) -> "list[PopulationRecord]":
     """Parse a delimiter-separated population table from a string.
 
@@ -219,10 +225,7 @@ def parse_populations(text: str, *, delimiter=None) -> "list[PopulationRecord]":
     elif delimiter not in _DELIMITERS:
         raise IngestError(f"unsupported delimiter {delimiter!r}; use one of , ; or tab")
 
-    def split(line):
-        return next(csv.reader([line], delimiter=delimiter))
-
-    header = [cell.strip().lower() for cell in split(header_line)]
+    header = [cell.strip().lower() for cell in _cells(header_line, delimiter)]
     try:
         name_col = header.index("name")
         pop_col = header.index("population")
@@ -236,7 +239,7 @@ def parse_populations(text: str, *, delimiter=None) -> "list[PopulationRecord]":
     errors = []
     seen = {}
     for line_no, line in numbered[1:]:
-        cells = split(line)
+        cells = _cells(line, delimiter)
         if len(cells) <= max(name_col, pop_col):
             errors.append(f"line {line_no}: expected {len(header)} columns, got {len(cells)}")
             continue
@@ -253,7 +256,7 @@ def parse_populations(text: str, *, delimiter=None) -> "list[PopulationRecord]":
             errors.append(f"line {line_no}: duplicate name {name!r} (first seen on line {seen[name]})")
             continue
         seen[name] = line_no
-        records.append(PopulationRecord(name, population))
+        records.append(_frozen(PopulationRecord, {"name": name, "population": population}))
 
     if errors:
         raise IngestError("; ".join(errors))

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import threading
+from collections import OrderedDict
 
 import pytest
 
@@ -184,7 +185,7 @@ def _power_sum(k, m):
 @pytest.fixture
 def cold_sums(monkeypatch):
     """An empty power-sum cache for one test; the shared one comes back after."""
-    monkeypatch.setattr(collision, "_SUMS", {})
+    monkeypatch.setattr(collision, "_SUMS", OrderedDict())
     monkeypatch.setattr(collision, "_sums_held", 0)
 
 
@@ -237,6 +238,20 @@ class TestPowerSum:
         _series_scan(2e12, 10**6, 512)
         assert divisors == 2 * list(range(5, 515))
         assert collision._sums_held == 2 * 513
+
+    def test_cold_order_less_scan_holds_no_order_past_its_stop(self, cold_sums):
+        # the first extension goes straight to an order the scan does not stop
+        # below, so from an empty cache a scan that stops at k holds S_1..S_{k+1}
+        rng = random.Random(4000)
+        cases = [(p / x, p) for p in (2, 3, 5, 9) for x in (0.3, 0.45, 0.4999)]
+        for _ in range(400):
+            p = int(10 ** rng.uniform(0.31, 12))
+            cases.append((p / 10 ** rng.uniform(-6, math.log10(0.4999)), p))
+        for t, p in cases:
+            collision._SUMS.clear()
+            collision._sums_held = 0
+            k = _series_scan(t, p)[2]
+            assert collision._sums_held == len(collision._SUMS[p - 1]) - 1 == max(k + 1, 3), (t, p)
 
     def test_distinct_populations_at_the_cap_stay_within_the_bound(self, cold_sums):
         # whole populations are evicted, least recently used first, so at most
@@ -536,21 +551,47 @@ class TestCollisionProbability:
             assert r.abs_error_bound < 1e-12, (t, p, method)
 
 
-# auto's exact product takes at most this many factors (p - 1) once p/t is
-# above 1e-4; longer products take the series wherever it is certified
-AUTO_EXACT_FACTORS = 2**14
+def auto_exact_limit(t, p):
+    """Longest product auto takes for 1e-4 < p/t < 1/2: 48 k**2 + 200 factors,
+    k = 1 + ln(5e-11) / ln(p/t) the order a cold scan is predicted to stop at."""
+    k = 1 + math.log(5e-11) / math.log(p / t)
+    return 48 * k * k + 200
+
+
+def _auto_route(t, p):
+    """The route auto takes at (t, p), with both kernels stubbed out."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collision, "_survival_log_product", lambda t, p: -1.0)
+        mp.setattr(collision, "_series_scan", lambda t, p, order: (-1.0, 0.0, 2))
+        return collision_probability(t, p).method
+
+
+def _route_flips(t, p_max):
+    """Every p <= p_max where auto's route differs from the one at p - 1."""
+    edges = {int(f * t) + d for f in (1e-4, 0.5) for d in (0, 1)}  # the ratio switches
+    grid = sorted({round(2 * (p_max / 2) ** (i / 600)) for i in range(601)}
+                  | {q for q in edges if 2 <= q <= p_max})
+    flips = []
+    for lo, hi in zip(grid, grid[1:]):
+        if (route := _auto_route(t, lo)) != _auto_route(t, hi):
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if _auto_route(t, mid) == route else (lo, mid)
+            flips.append(hi)
+    return flips
 
 
 class TestAutoCrossover:
     def test_long_products_take_the_series(self):
         rng = random.Random(7)
-        p_lo = AUTO_EXACT_FACTORS + 2
-        cases = [(p_lo / 1.0001e-4, p_lo), (p_lo / 0.4999, p_lo), (2e5 / 0.49, 200_000)]
-        for _ in range(24):
-            p = int(10 ** rng.uniform(math.log10(p_lo), math.log10(2e5)))
-            cases.append((p / 10 ** rng.uniform(-4, math.log10(0.5)), p))
+        cases = [(1e7, 10**4), (1e6, 1181), (2e5 / 0.49, 200_000), (6e4 / 0.4999, 60_000)]
+        while len(cases) < 28:
+            p = int(10 ** rng.uniform(2, math.log10(2e5)))
+            t = p / 10 ** rng.uniform(-4, math.log10(0.5))
+            if p - 1 > auto_exact_limit(t, p):
+                cases.append((t, p))
         for t, p in cases:
-            assert 1e-4 < p / t < 0.5
+            assert 1e-4 < p / t < 0.5 and p - 1 > auto_exact_limit(t, p)
             r = collision_probability(t, p)
             truth = fsum_survival_log(t, p)
             assert r.method == "series", (t, p)
@@ -559,18 +600,28 @@ class TestAutoCrossover:
 
     def test_short_products_stay_exact(self):
         rng = random.Random(8)
-        cases = [(365, 23), (1000, 40), (AUTO_EXACT_FACTORS / 2e-4, AUTO_EXACT_FACTORS),
-                 (1e8, AUTO_EXACT_FACTORS + 1), (4e4, AUTO_EXACT_FACTORS + 1)]
-        for _ in range(24):
-            p = int(10 ** rng.uniform(math.log10(2), math.log10(AUTO_EXACT_FACTORS + 1)))
-            cases.append((max(p / 10 ** rng.uniform(-4, 0), p + 0.5), p))
+        cases = [(365, 23), (1000, 40), (1e6, 1180), (1e6, 101), (3.2e4 / 0.45, 32_000)]
+        while len(cases) < 29:
+            p = int(10 ** rng.uniform(math.log10(2), math.log10(6e4)))
+            t = max(p / 10 ** rng.uniform(-4, math.log10(0.5)), p + 0.5)
+            if p / t > 1e-4 and p - 1 <= auto_exact_limit(t, p):
+                cases.append((t, p))
         for t, p in cases:
-            assert p - 1 <= AUTO_EXACT_FACTORS and p / t > 1e-4
+            assert p / t > 1e-4 and p - 1 <= auto_exact_limit(t, p)
             r = collision_probability(t, p)
             e = collision_probability(t, p, "exact")
             assert r.method == "exact", (t, p)
             assert r.probability.hex() == e.probability.hex(), (t, p)
             assert r.log_survival.hex() == e.log_survival.hex(), (t, p)
+        assert collision_probability(365, 23).probability == B_365_23
+
+    def test_a_rerouted_answer_within_its_bound_of_mpmath(self):
+        # frozen: 60-digit mpmath B(1e7, 10**4) = 0.99326991328350158754616; the
+        # series stops at order 4 with log_survival 3.3e-13 off the exact value
+        r = collision_probability(1e7, 10**4)
+        assert (r.method, r.order) == ("series", 4)
+        assert abs(r.probability - 0.99326991328350158754616) <= r.abs_error_bound
+        assert (r.probability, r.log_survival) == (0.9932699132834993, -5.00116725034155)
 
     @pytest.mark.parametrize("t, p", [(4e4, 20_000), (1e5, 99_999), (1.5e6, 10**6)])
     def test_uncertified_ratio_stays_exact_within_budget(self, t, p):
@@ -586,13 +637,33 @@ class TestAutoCrossover:
 
     @pytest.mark.parametrize("t", [4e4, 1e5, 10**6, 2**24, 1e7, 1.6e8])
     def test_monotone_across_the_switch(self, t):
-        # exact below the switch, series above it: zero tolerance
-        results = [collision_probability(t, p)
-                   for p in range(AUTO_EXACT_FACTORS, AUTO_EXACT_FACTORS + 4)]
-        assert [r.method for r in results] == ["exact", "exact", "series", "series"]
-        for a, b in zip(results, results[1:]):
-            assert a.probability <= b.probability
-            assert a.log_survival >= b.log_survival
+        # every flip up to p/t = 1/2, at the ratio switches and the cost
+        # switch (above t ~ 8e6 only the one at 1/2): zero tolerance
+        flips = _route_flips(t, int(t / 2) + 2)
+        assert flips
+        for p in flips:
+            a, b = collision_probability(t, p - 1), collision_probability(t, p)
+            assert a.method != b.method, p
+            assert a.probability <= b.probability, p
+            assert a.log_survival >= b.log_survival, p
+
+    def test_monotone_and_within_bounds_across_every_flip(self):
+        # every p where auto changes route, for t from 1e3 to 1e12: zero
+        # tolerance across the flip, and both answers next to it within
+        # their bounds of the fsum oracle
+        rng = random.Random(20261018)
+        ts = [1e6] + [10 ** (3 + (i + rng.random()) / 4) for i in range(36)]  # a quarter decade each
+        flips = [(t, p) for t in ts for p in _route_flips(t, min(t / 2 + 2, 2e6))]
+        assert len(flips) >= 25
+        for t, p in flips:
+            a, b = collision_probability(t, p - 1), collision_probability(t, p)
+            assert a.method != b.method, (t, p)
+            assert a.probability <= b.probability, (t, p)
+            assert a.log_survival >= b.log_survival, (t, p)
+            for r, q in ((a, p - 1), (b, p)):
+                truth = fsum_survival_log(t, q)
+                assert abs(r.log_survival - truth) <= 1e-13 * (1 + abs(truth)), (t, q)
+                assert abs(r.probability + math.expm1(truth)) <= r.abs_error_bound + 2**-50, (t, q)
 
 
 def test_numpy_loads_on_the_first_exact_call():

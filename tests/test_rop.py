@@ -6,10 +6,13 @@ The 22 expected table strings were verified against an independent
 two-decimal rounding boundary: 0.0046 percentage points).
 """
 
+import csv
 import dataclasses
 import importlib
 import io
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -302,6 +305,59 @@ class TestParsePopulations:
     def test_negative_number_rejected(self):
         with pytest.raises(IngestError, match="not a whole number"):
             parse_populations("name,population\nA,-5\n")
+
+    def test_unterminated_quote_ends_with_its_line(self):
+        recs = parse_populations('name,population\nA,"10\nB,20\n')
+        assert recs == [PopulationRecord("A", 10), PopulationRecord("B", 20)]
+
+    def test_cells_match_csv_reader_on_a_seeded_corpus(self):
+        # lines with no quote take str.split, the rest csv.reader; every
+        # non-blank line must split as csv.reader reads it alone (csv reads
+        # NUL as a plain character from Python 3.11)
+        pieces = ["a", "Zé", "12", " ", ",", "\t", ";", '"', '""', "_", "#", "+"]
+        pieces += ["\0"] if sys.version_info >= (3, 11) else []
+        rng = random.Random(2026)
+        lines = 0
+        while lines < 6000:
+            line = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 14)))
+            if rng.random() < 0.5:
+                line = line.replace('"', "")
+            if not line.strip():
+                continue  # the parser skips blank lines before splitting
+            lines += 1
+            for d in (",", "\t", ";"):
+                assert rop_module._cells(line, d) == next(csv.reader([line], delimiter=d)), (line, d)
+
+    def test_tables_parse_as_with_csv_reader_on_every_line(self, monkeypatch):
+        # whole tables, valid and not: the same records, or the same
+        # IngestError message byte for byte, as when csv.reader splits every line
+        rng = random.Random(2027)
+        names = ["A", "B", " c ", "D E", '"F"', '"G;H"', "\0", "", '"i']
+        counts = ["10", "0", "1_000", "+250", '"8,419,600"', '"565, 239"', " 7 ", "-5", "ten", '"12']
+
+        def parse(text):
+            try:
+                return [(r.name, r.population) for r in parse_populations(text)]
+            except IngestError as err:
+                return str(err)
+
+        def by_csv(line, delimiter):
+            return next(csv.reader([line], delimiter=delimiter))
+
+        tables = []
+        for _ in range(600):
+            d = rng.choice((",", "\t", ";"))
+            rows = [d.join([rng.choice(names), rng.choice(counts)][:rng.choice((1, 2, 2, 2, 2))])
+                    for _ in range(rng.randint(0, 4))]
+            tables.append("\n".join([d.join(("name", "population"))] + rows) + "\n")
+        ours = [parse(text) for text in tables]
+        monkeypatch.setattr(rop_module, "_cells", by_csv)
+        assert ours == [parse(text) for text in tables]
+        assert sum(isinstance(r, list) for r in ours) >= 50 and sum(isinstance(r, str) for r in ours) >= 50
+
+    def test_parsed_records_pass_their_own_checks(self):
+        for rec in parse_populations('name,population\n A ,"1,000"\nB,0\n'):
+            assert rec == PopulationRecord(rec.name, rec.population)
 
     def test_line_numbers_count_physical_lines(self):
         # comments and blanks still advance the counter
