@@ -199,6 +199,10 @@ def _cmd_curve(args):
         raise DomainError(f"need at least 2 samples, got {args.samples}")
     if args.p_max < 1:
         raise DomainError(f"--p-max must be at least 1, got {args.p_max}")
+    try:
+        float(args.p_max)  # the samples are spaced in floats, up to p_max itself
+    except OverflowError:
+        raise DomainError(f"--p-max must be at most {sys.float_info.max!r}, the float range") from None
     payload = []
     for i in range(args.samples):
         p = round(i * args.p_max / (args.samples - 1))

@@ -23,11 +23,11 @@ are reproducible bit for bit from run to run.  All public functions are
 pure and safe for concurrent use.
 """
 
+import functools
+import itertools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from operator import add, mul
+from operator import mul
 
 __all__ = [
     "DomainError",
@@ -67,8 +67,8 @@ _AUTO_FACTORS_PER_ORDER2, _AUTO_FACTORS_BASE = 48, 200
 _SERIES_MAX_RATIO = 0.5
 
 # Highest series order: an order-less scan stops here at the latest, and an
-# explicit order above it is refused.  A scan at k needs power sums 1..k+1 of
-# one population at once, which is what the power-sum cache is sized for.
+# explicit order above it is refused.  A scan at k needs power sums 1..k+1 and
+# Pascal rows up to k+2; rows to the cap hold about 5 MB for the process's life.
 _MAX_ORDER = 512
 
 # Fixed block length for the exact product sum.  Blocks are summed with
@@ -91,8 +91,7 @@ _LN2 = math.log(2.0)
 
 # An order-less scan at p/t = x stops near order 1 + ln(5e-11) / ln x, where its terms,
 # about x**k / (k (k + 1)) of the value, reach the 1e-13 share: 4.4, 11.3 and 30.7 at
-# x = 1e-3, 0.1 and 0.45 against real stops 4, 12 and 31.  None stopped below
-# ln(5e-11) / ln((p - 1)/t) on 10,387 grid points with p - 1 from 1 to 1e25.
+# x = 1e-3, 0.1 and 0.45 against real stops 4, 12 and 31; auto's cost rule uses it.
 _LOG_STOP = math.log(5e-11)
 
 EXACT = "exact"
@@ -294,43 +293,32 @@ def survival_log_exact(t, p, *, budget: int = DEFAULT_EXACT_BUDGET) -> float:
 
 # --- exact cumulative power sums ------------------------------------------
 
-# Power sums of recent populations, least recently used first: m -> [m, S_1(m), ..., S_j(m)],
-# S_k(m) at index k (S_0(m) = m).  Whole populations are evicted to hold at most 2**11 sums
-# S_1, S_2, ...; two scans at the order cap (orders 1..513) fit.  _ROWS[n] is C(n, 0..n),
-# each row added up from the one before; order-less scans need rows to 47, the cap row 514.
-_SUMS: OrderedDict = OrderedDict()
-_sums_held = 0
-_ROWS = [(1,)]
-_sums_lock = threading.Lock()  # held around every read and extension of _SUMS and _ROWS
+@functools.cache
+def _pascal(n: int) -> tuple:
+    """C(n, 0..n): C(n, i + 1) = C(n, i) (n - i) / (i + 1), exactly, to the middle, then
+    mirrored.  A pure function of n, so threads that race to build a row store equal rows."""
+    half = [1]
+    for i in range(n // 2):
+        half.append(half[-1] * (n - i) // (i + 1))
+    return (*half, *reversed(half[: (n + 1) // 2]))
 
 
-def _power_sums(m: int, k: int) -> list:
-    """The cached sums of m, made most recently used and extended through S_k(m).
+def _power_sums(m: int):
+    """S_1(m), S_2(m), ... in turn: S_j(m), the sum of n**j for n = 1..m, exact with no loop over n.
 
-    S_j(m), the sum of n**j for n = 1..m, is exact in integers with no loop over n.
-    A new m starts from the closed forms S_1 = m(m+1)/2, S_2 = S_1(2m+1)/3 and
-    S_3 = S_1**2.  Above them, Pascal's identity summed over n = 1..m gives
-    (m+1)**(j+1) - 1 = sum_{i=0..j} C(j+1, i) S_i(m), and C(j+1, j) = j+1 leaves
-    S_j(m) the one unknown: one dot product of a Pascal row with the lower sums per
-    new order, and one append, so an interrupted extension leaves whole orders.
-    The caller holds ``_sums_lock``."""
-    global _sums_held
-    if (sums := _SUMS.get(m)) is None:
-        s1 = m * (m + 1) // 2
-        sums = _SUMS[m] = [m, s1, s1 * (2 * m + 1) // 3, s1 * s1]
-        _sums_held += 3
-    _SUMS.move_to_end(m)
-    while (j := len(sums)) <= k:
-        while len(_ROWS) <= j + 1:
-            _ROWS.append((1, *map(add, row := _ROWS[-1], row[1:]), 1))
-        s, r = divmod((m + 1) ** (j + 1) - 1 - sum(map(mul, _ROWS[j + 1], sums)), j + 1)
+    S_1..S_3 come from the closed forms S_1 = m(m+1)/2, S_2 = S_1(2m+1)/3 and S_3 = S_1**2.
+    Above them, Pascal's identity summed over n = 1..m gives (m+1)**(j+1) - 1 = sum_{i=0..j}
+    C(j+1, i) S_i(m), and C(j+1, j) = j+1 leaves S_j(m) the one unknown: one dot product of
+    a Pascal row with the lower sums, made only when the caller asks for S_j(m)."""
+    s1 = m * (m + 1) // 2
+    sums = [m, s1, s1 * (2 * m + 1) // 3, s1 * s1]  # S_k(m) at index k, S_0(m) = m
+    yield from sums[1:]
+    for j in itertools.count(4):
+        s, r = divmod((m + 1) ** (j + 1) - 1 - sum(map(mul, _pascal(j + 1), sums)), j + 1)
         if r:
             raise AssertionError(f"power sum came out non-integral for k={j}, m={m}")
         sums.append(s)
-        _sums_held += 1
-    while _sums_held > 1 << 11:
-        _sums_held -= len(_SUMS.popitem(last=False)[1]) - 1
-    return sums
+        yield s
 
 
 def _log_int(n: int) -> float:
@@ -393,28 +381,20 @@ def _series_scan(t: float, p: int, order=None):
     if ratio >= _SERIES_MAX_RATIO:
         shown = f"p/t = {ratio:.3g} >= 1/2" if ratio < math.inf else "p beyond float range"
         raise SeriesBoundError(f"series bound is not certified for {shown}; use the exact method")
-    m = p - 1
     log_t = math.log(t)
     geom = 1.0 / (1.0 - ratio)
-    # an order-less scan extends the sums at once to an order it does not stop
-    # below (_LOG_STOP), which is 2 or more once m/t >= p/2t > 5e-5
-    first = order or (2 if ratio <= _AUTO_SERIES_RATIO else int(_LOG_STOP / math.log(m / t)))
-    with _sums_lock:  # and then one order at a time
-        sums = _power_sums(m, first + 1)
-        # Starting the sum at term 1 with no compensation is bit-identical to
-        # a Neumaier step from zero.
-        total, comp = _series_term(sums[1], 1, t, log_t), 0.0
-        omitted = _series_term(sums[2], 2, t, log_t)
-        k, last = 1, order or _MAX_ORDER
-        while True:
-            k += 1
-            total, comp = _neumaier(total, comp, omitted)
-            if len(sums) == k + 1:
-                sums = _power_sums(m, k + 1)
-            omitted = _series_term(sums[k + 1], k + 1, t, log_t)
-            value, tail = -(total + comp), omitted * geom
-            if k >= last or order is None and tail <= _ROUNDING_UNIT * -value:
-                return value, tail, k
+    sums = _power_sums(p - 1)
+    # Starting the sum at term 1 with no compensation is bit-identical to
+    # a Neumaier step from zero.
+    total, comp = _series_term(next(sums), 1, t, log_t), 0.0
+    omitted = _series_term(next(sums), 2, t, log_t)
+    for k in range(2, (order or _MAX_ORDER) + 1):
+        total, comp = _neumaier(total, comp, omitted)
+        omitted = _series_term(next(sums), k + 1, t, log_t)
+        value, tail = -(total + comp), omitted * geom
+        if order is None and tail <= _ROUNDING_UNIT * -value:
+            break
+    return value, tail, k
 
 
 def survival_log_series(t, p, order: int) -> "tuple[float, float]":

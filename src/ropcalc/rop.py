@@ -208,11 +208,12 @@ def parse_populations(text: str, *, delimiter=None) -> "list[PopulationRecord]":
     delimiter is auto-detected among comma, tab, and semicolon unless
     given.  Lines starting with '#' and blank lines are skipped.  Repeated
     thousands separators inside quoted numbers are tolerated.  All row
-    errors are reported together, with 1-based file line numbers.
+    errors are reported together, with 1-based file line numbers.  A
+    leading byte-order mark (spreadsheet "CSV UTF-8") is dropped.
     """
     numbered = [
         (i + 1, line)
-        for i, line in enumerate(text.splitlines())
+        for i, line in enumerate(text.removeprefix("\ufeff").splitlines())
         if line.strip() and not line.lstrip().startswith("#")
     ]
     if not numbered:

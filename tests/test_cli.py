@@ -6,6 +6,7 @@ from argparse, domain failures as return code 3, success as 0.
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -209,6 +210,17 @@ class TestRopTable:
         [row] = json.loads(out)
         assert row["name"] == "Smallville"
 
+    def test_byte_order_mark_gives_the_same_table(self, capsys, tmp_path):
+        table = "name,population\nSmallville,1000\nMetropolis,\"9,500,000\"\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(table, encoding="utf-8")
+        marked.write_text(table, encoding="utf-8-sig")  # writes U+FEFF first
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        outs = [run(capsys, "rop-table", "--dataset", str(f), "--format", "json")
+                for f in (plain, marked)]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert [row["name"] for row in json.loads(outs[0][1])] == ["Smallville", "Metropolis"]
+
     def test_delimiter_flag(self, capsys, tmp_path):
         f = tmp_path / "tabs.tsv"
         f.write_text('name\tpopulation\nNYC\t"8,419,600"\n', encoding="utf-8")
@@ -252,6 +264,18 @@ class TestCurve:
     def test_default_samples(self, capsys):
         _, out, _ = run(capsys, "curve", "-t", "365", "--p-max", "100", "--format", "json")
         assert len(json.loads(out)) == 101
+
+    def test_p_max_beyond_float_range_is_three(self, capsys):
+        code, out, err = run(capsys, "curve", "-t", "1e30", "--p-max", "9" * 400, "--samples", "3")
+        assert code == 3 and out == "" and err.startswith("error: --p-max") and "float" in err
+
+    def test_p_max_at_the_float_limit_still_samples(self, capsys):
+        p_max = int(sys.float_info.max)
+        code, out, _ = run(capsys, "curve", "-t", "1e30", "--p-max", str(p_max),
+                           "--samples", "3", "--format", "json")
+        rows = json.loads(out)
+        assert code == 0 and [r["population"] for r in rows] == [0, round(p_max / 2), p_max]
+        assert [r["probability"] for r in rows] == [0.0, 1.0, 1.0]
 
 
 class TestExitCodes:

@@ -6,12 +6,12 @@ brute force) and are frozen here as literals.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 import subprocess
 import sys
 import threading
-from collections import OrderedDict
 
 import pytest
 
@@ -177,16 +177,20 @@ class TestSurvivalLogExact:
 
 
 def _power_sum(k, m):
-    """Exact sum of n**k for n = 1..m (k >= 1), read from the shared cache."""
-    with collision._sums_lock:
-        return collision._power_sums(m, k)[k]
+    """Exact sum of n**k for n = 1..m (k >= 1), the k-th value the generator yields."""
+    return next(itertools.islice(collision._power_sums(m), k - 1, None))
 
 
-@pytest.fixture
-def cold_sums(monkeypatch):
-    """An empty power-sum cache for one test; the shared one comes back after."""
-    monkeypatch.setattr(collision, "_SUMS", OrderedDict())
-    monkeypatch.setattr(collision, "_sums_held", 0)
+def _recording_divmod(monkeypatch):
+    """Divisors of every divmod the power sums make from now on: j + 1 for order j."""
+    divisors = []
+
+    def recording(a, b):
+        divisors.append(b)
+        return divmod(a, b)
+
+    monkeypatch.setattr(collision, "divmod", recording, raising=False)
+    return divisors
 
 
 class TestPowerSum:
@@ -205,7 +209,7 @@ class TestPowerSum:
         assert _power_sum(5, 0) == 0
 
     @pytest.mark.parametrize("q", [10_007, 65_521])
-    def test_high_order_huge_m_against_modular_oracle(self, q, cold_sums):
+    def test_high_order_huge_m_against_modular_oracle(self, q):
         # n**k mod q repeats with period q in n, so the sum mod q needs only
         # one full period and a remainder; pow(n, k, q) is independent of
         # the recurrence.  k = 513 is the scan cap plus its omitted term.
@@ -214,58 +218,39 @@ class TestPowerSum:
                 return sum(pow(n, k, q) for n in range(1, upto + 1))
             return ((m // q) * period_sum(q) + period_sum(m % q)) % q
 
-        m = 10**13 + 12_345  # from an empty cache, k = 513 computes every lower order
+        m = 10**13 + 12_345
+        sums = list(itertools.islice(collision._power_sums(m), 513))
         for k in (513, 13, 64, 200, 511, 512):
-            assert _power_sum(k, m) % q == oracle(k, m)
+            assert sums[k - 1] % q == oracle(k, m)
 
-    def test_cold_scan_at_the_cap_computes_each_order_once(self, cold_sums, monkeypatch):
-        # the scan at the order cap needs orders 1..513 of one m at once; a
-        # cache too small for them would evict and recompute its own lower
-        # orders.  Orders 1..3 come from closed forms when m is first seen;
-        # each higher order j divides by j + 1 once.
-        divisors = []
-
-        def recording(a, b):
-            divisors.append(b)
-            return divmod(a, b)
-
-        monkeypatch.setattr(collision, "divmod", recording, raising=False)
-        _series_scan(1e12, 10**6, 512)
+    def test_cold_scan_at_the_cap_computes_each_order_once(self, monkeypatch):
+        # the scan at the order cap needs orders 1..513 of one m; orders 1..3
+        # come from closed forms and each higher order j divides by j + 1 once.
+        # No sum outlives its scan, so the same population costs the same again.
+        divisors = _recording_divmod(monkeypatch)
+        first = _series_scan(1e12, 10**6, 512)
         assert divisors == list(range(5, 515))
-        assert list(collision._SUMS) == [10**6 - 1] and collision._sums_held == 513
-        # two populations at the cap fit together, so going back costs nothing
-        _series_scan(1e12, 10**6 + 1, 512)
-        _series_scan(2e12, 10**6, 512)
+        assert _series_scan(1e12, 10**6, 512) == first
         assert divisors == 2 * list(range(5, 515))
-        assert collision._sums_held == 2 * 513
 
-    def test_cold_order_less_scan_holds_no_order_past_its_stop(self, cold_sums):
-        # the first extension goes straight to an order the scan does not stop
-        # below, so from an empty cache a scan that stops at k holds S_1..S_{k+1}
+    def test_cold_order_less_scan_holds_no_order_past_its_stop(self, monkeypatch):
+        # sums are made only as the scan asks for them, so a scan that stops
+        # at k computes S_1..S_{k+1}: divisions for orders 4..k+1 and no more
+        divisors = _recording_divmod(monkeypatch)
         rng = random.Random(4000)
         cases = [(p / x, p) for p in (2, 3, 5, 9) for x in (0.3, 0.45, 0.4999)]
         for _ in range(400):
             p = int(10 ** rng.uniform(0.31, 12))
             cases.append((p / 10 ** rng.uniform(-6, math.log10(0.4999)), p))
         for t, p in cases:
-            collision._SUMS.clear()
-            collision._sums_held = 0
+            divisors.clear()
             k = _series_scan(t, p)[2]
-            assert collision._sums_held == len(collision._SUMS[p - 1]) - 1 == max(k + 1, 3), (t, p)
+            assert divisors == list(range(5, k + 3)), (t, p)
 
-    def test_distinct_populations_at_the_cap_stay_within_the_bound(self, cold_sums):
-        # whole populations are evicted, least recently used first, so at most
-        # 2**11 sums stay cached however many scans run at the order cap
-        for p in range(2, 66):
-            _series_scan(1e12, p, 512)
-            held = [len(sums) - 1 for sums in collision._SUMS.values()]
-            assert sum(held) == collision._sums_held <= 1 << 11
-            assert held[-1] == 513  # the newest population is whole
-
-    def test_concurrent_cold_scans_match_a_single_thread(self, cold_sums):
+    def test_concurrent_cold_scans_match_a_single_thread(self):
         # four threads share some populations and keep others to themselves,
         # order-less and at explicit orders up to 80; every answer is the one
-        # a single thread gets from an empty cache, compared by hex
+        # a single thread gets, compared by hex
         rng = random.Random(20261018)
         shared = [rng.randrange(10**4, 10**8) for _ in range(12)]
         jobs = [[(p * rng.choice([3, 10, 1e3, 1e6]), p,
@@ -280,9 +265,8 @@ class TestPowerSum:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
         try:
-            for _ in range(3):  # each round from an empty cache
-                collision._SUMS.clear()
-                collision._sums_held = 0
+            for _ in range(3):  # each round races to build the Pascal rows afresh
+                collision._pascal.cache_clear()
                 results, barrier = [None] * 4, threading.Barrier(4, timeout=60)
 
                 def worker(i):
@@ -296,8 +280,6 @@ class TestPowerSum:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
                 assert results == expected
-                held = sum(len(sums) - 1 for sums in collision._SUMS.values())
-                assert held == collision._sums_held
         finally:
             sys.setswitchinterval(interval)
 

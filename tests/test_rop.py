@@ -406,6 +406,23 @@ class TestLoadDump:
         recs = load_populations(io.StringIO("name,population\nA,10\n"))
         assert recs == [PopulationRecord("A", 10)]
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with U+FEFF; paths, streams and
+        # strings all give the records of the same table without it
+        table = "name,population\nA,10\n\nB,\"2,000\"\n"
+        f = tmp_path / "bom.csv"
+        f.write_text("\ufeff" + table, encoding="utf-8")
+        expected = parse_populations(table)
+        assert expected == [PopulationRecord("A", 10), PopulationRecord("B", 2000)]
+        assert load_populations(f) == expected
+        assert load_populations(io.StringIO("\ufeff" + table)) == expected
+        assert parse_populations("\ufeff" + table) == expected
+        # line numbers stay those of the file, and only one mark is dropped
+        with pytest.raises(IngestError, match="^line 3: empty name$"):
+            parse_populations("\ufeffname,population\nA,10\n,5\n")
+        with pytest.raises(IngestError, match="header must name both"):
+            parse_populations("\ufeff\ufeff" + table)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_populations(tmp_path / "nope.csv")
