@@ -35,7 +35,9 @@ from .solvers import DEFAULT_WORLD_POPULATION, SolveTarget, solve_population, so
 
 __all__ = ["main", "build_parser", "parse_space_expr", "parse_count_expr"]
 
-_POWER = re.compile(r"(?P<base>[0-9][0-9,_ ]*)\^(?P<exp>[0-9][0-9,_ ]*)$")
+_INT = r"[0-9]{1,3}(?:[,_ ][0-9]{3})+|[0-9]+"
+_GROUPED_INT = re.compile(_INT)
+_POWER = re.compile(rf"(?P<base>{_INT})\^(?P<exp>{_INT})")
 
 _DOMAIN_EXIT = 3
 
@@ -50,10 +52,13 @@ def parse_space_expr(text: str):
     Accepts plain integers with optional thousands separators
     ("68,719,476,736"), scientific notation ("6.9e10"), and the power form
     "base^exponent" ("2^36"), which is evaluated in exact integer
-    arithmetic.  Syntax only; range checks happen when the value is used.
+    arithmetic.  Separators ("," "_" " ") stand only between three-digit
+    groups of an integer, base or exponent; every other form goes to float()
+    as typed, so a decimal comma ("1,4e7") is refused, not read as 14e7.
+    Syntax only; range checks happen when the value is used.
     """
     expr = text.strip()
-    m = _POWER.match(expr)
+    m = _POWER.fullmatch(expr)
     try:
         if m:
             base = int(_strip_groups(m.group("base")))
@@ -61,21 +66,20 @@ def parse_space_expr(text: str):
             if exp > 4096:
                 raise ValueError("exponent too large")
             return base**exp
-        cleaned = _strip_groups(expr)
-        if re.fullmatch(r"[0-9]+", cleaned):
-            return int(cleaned)
-        return float(cleaned)
+        if _GROUPED_INT.fullmatch(expr):
+            return int(_strip_groups(expr))
+        return float(expr)
     except (ValueError, OverflowError) as err:
         raise ValueError(f"bad space size {text!r}: {err}") from None
 
 
 def parse_count_expr(text: str) -> int:
-    """Parse a whole-number count: separators and scientific notation allowed."""
-    cleaned = _strip_groups(text.strip())
+    """Parse a whole-number count: separators as in parse_space_expr, or scientific notation."""
+    expr = text.strip()
     try:
-        if re.fullmatch(r"[0-9]+", cleaned):
-            return int(cleaned)
-        value = float(cleaned)
+        if _GROUPED_INT.fullmatch(expr):
+            return int(_strip_groups(expr))
+        value = float(expr)
     except ValueError:
         raise ValueError(f"bad count {text!r}") from None
     if not (math.isfinite(value) and value >= 0 and value.is_integer()):

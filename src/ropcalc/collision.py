@@ -98,8 +98,6 @@ EXACT = "exact"
 SERIES = "series"
 AUTO = "auto"
 
-_MAX_EXACT_INT = 2**63 - 1
-
 
 class DomainError(ValueError):
     """An argument fell outside the supported domain."""
@@ -115,32 +113,18 @@ class SeriesBoundError(DomainError):
 
 @dataclass(frozen=True)
 class SpaceSize:
-    """Number of equally likely distinct values in the space.
+    """Number of equally likely distinct values in the space: a float from 1 to 1e30.
 
-    ``value`` is the real-valued size, supported up to 1e30.  ``exact``
-    carries the integer form when the size is an integer small enough
-    (at most 2**63 - 1) to round-trip through a float exactly; it is None
-    otherwise.  The guaranteed-repeat cutoff does not need it: that test
-    compares the integer population with ``value``, which Python does
-    exactly at every size.
+    Spaces of equal ``value`` compare and hash equal however they were built.
     """
 
     value: float
-    exact: "int | None" = None
 
     def __post_init__(self):
-        v = self.value
-        if not isinstance(v, float):
-            raise DomainError(f"space size value must be a float, got {type(v).__name__}")
-        if not math.isfinite(v) or v < 1.0:
-            raise DomainError(f"space size must be finite and >= 1, got {v!r}")
-        if v > MAX_SPACE:
-            raise DomainError(f"space size {v!r} exceeds the supported maximum 1e30")
-        if self.exact is not None:
-            if self.exact > _MAX_EXACT_INT:
-                raise DomainError("exact space form only supported up to 2**63 - 1")
-            if float(self.exact) != v:
-                raise DomainError("exact space form does not match the real value")
+        if not isinstance(self.value, float):
+            raise DomainError(f"space size value must be a float, got {type(self.value).__name__}")
+        if not 1.0 <= self.value <= MAX_SPACE:  # NaN fails every comparison
+            raise DomainError(f"space size must be from 1 to 1e30, got {self.value!r}")
 
 
 def as_space_size(t) -> SpaceSize:
@@ -150,16 +134,11 @@ def as_space_size(t) -> SpaceSize:
     if isinstance(t, bool):
         raise DomainError("space size must be a number, not bool")
     if isinstance(t, int):
-        if t < 1:
-            raise DomainError(f"space size must be >= 1, got {t}")
-        if t > int(MAX_SPACE):
-            raise DomainError(f"space size {t} exceeds the supported maximum 1e30")
+        if t > int(MAX_SPACE):  # exactly: float(t) could round down to 1e30
+            raise DomainError(f"space size of {t.bit_length()} bits exceeds the supported maximum 1e30")
     elif not isinstance(t, float):
         raise DomainError(f"space size must be int, float, or SpaceSize, got {type(t).__name__}")
-    value = float(t)
-    # value == t holds for an int only when the float keeps it exactly
-    whole = value.is_integer() and value <= _MAX_EXACT_INT and value == t
-    return SpaceSize(value, int(value) if whole else None)
+    return SpaceSize(float(t))
 
 
 def _as_count(p, what="population") -> int:

@@ -226,7 +226,10 @@ def parse_populations(text: str, *, delimiter=None) -> "list[PopulationRecord]":
     elif delimiter not in _DELIMITERS:
         raise IngestError(f"unsupported delimiter {delimiter!r}; use one of , ; or tab")
 
-    header = [cell.strip().lower() for cell in _cells(header_line, delimiter)]
+    try:
+        header = [cell.strip().lower() for cell in _cells(header_line, delimiter)]
+    except csv.Error as err:  # a quoted cell longer than csv.field_size_limit()
+        raise IngestError(f"line {header_no}: {err}") from None
     try:
         name_col = header.index("name")
         pop_col = header.index("population")
@@ -240,7 +243,11 @@ def parse_populations(text: str, *, delimiter=None) -> "list[PopulationRecord]":
     errors = []
     seen = {}
     for line_no, line in numbered[1:]:
-        cells = _cells(line, delimiter)
+        try:
+            cells = _cells(line, delimiter)
+        except csv.Error as err:
+            errors.append(f"line {line_no}: {err}")
+            continue
         if len(cells) <= max(name_col, pop_col):
             errors.append(f"line {line_no}: expected {len(header)} columns, got {len(cells)}")
             continue
@@ -267,11 +274,19 @@ def parse_populations(text: str, *, delimiter=None) -> "list[PopulationRecord]":
 
 
 def load_populations(source, *, delimiter=None) -> "list[PopulationRecord]":
-    """Read a population table from a path or an open text stream."""
+    """Read a population table from a path to UTF-8 text or an open text stream."""
     if hasattr(source, "read"):
         return parse_populations(source.read(), delimiter=delimiter)
-    with open(os.fspath(source), "r", encoding="utf-8") as fh:
-        return parse_populations(fh.read(), delimiter=delimiter)
+    with open(os.fspath(source), "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # the bytes before the first bad one decode, and number the lines as the parser does
+        line = len((data[:err.start].decode("utf-8") + "x").splitlines())
+        raise IngestError(f"line {line}: byte {data[err.start]:#04x} is not UTF-8; "
+                          "save the table as UTF-8 text") from None
+    return parse_populations(text, delimiter=delimiter)
 
 
 def dump_populations(records) -> str:

@@ -1,4 +1,4 @@
-"""Shared test oracles.
+"""Shared test oracles and helpers.
 
 These deliberately avoid the library's own evaluation paths: the rational
 oracle multiplies exact fractions, and the log oracle uses math.fsum over
@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 
 import pytest
+
+from ropcalc import SpaceSize
 
 
 def rational_collision(t, p: int) -> Fraction:
@@ -27,6 +29,12 @@ def rational_collision(t, p: int) -> Fraction:
 def fsum_survival_log(t: float, p: int) -> float:
     """Brute-force log-survival via exact (Shewchuk) float summation."""
     return math.fsum(math.log1p(-n / t) for n in range(1, p))
+
+
+def assert_same_space(space, value: float):
+    """A space built any way equals, and hashes as, the SpaceSize of its float value."""
+    assert space.value == value
+    assert space == SpaceSize(value) and hash(space) == hash(SpaceSize(value))
 
 
 @pytest.fixture(scope="session")

@@ -38,14 +38,28 @@ class TestSpaceExpr:
     def test_outer_whitespace_tolerated(self):
         assert parse_space_expr(" 2^47 ") == 2**47
 
-    @pytest.mark.parametrize("bad", ["abc", "2^", "^3", "2^2^2", "1e", "2^9999", ""])
+    @pytest.mark.parametrize("bad", ["abc", "2^", "^3", "2^2^2", "1e", "2^9999", "",
+                                     "6,9e10", "3,65", "1,000.5", "1, 000", "2,3^4"])
     def test_syntax_errors(self, bad):
         with pytest.raises(ValueError):
             parse_space_expr(bad)
 
+    @pytest.mark.parametrize("text, value", [
+        ("68,719,476,736", 68_719_476_736), ("1,000,000", 10**6), ("1_000_000", 10**6),
+        ("1 000", 1000), ("2^1_000", 2**1000), ("1,000^2", 10**6),
+    ])
+    def test_separators_only_between_digit_groups(self, text, value):
+        assert parse_space_expr(text) == value and type(parse_space_expr(text)) is int
+        if "^" not in text:
+            assert parse_count_expr(text) == value
+
     def test_count_expr(self):
         assert parse_count_expr("1e6") == 10**6
         assert parse_count_expr("1,000,000") == 10**6
+        assert parse_count_expr("1.4e7") == 14_000_000
+        for decimal_comma in ("1,4e7", "3,65", "1,5"):
+            with pytest.raises(ValueError):
+                parse_count_expr(decimal_comma)
         with pytest.raises(ValueError):
             parse_count_expr("2.5")
         with pytest.raises(ValueError):
@@ -314,6 +328,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "prob", "-t", "1e40", "-p", "3")
         assert code == 3
 
+    def test_space_beyond_printable_ints_is_three(self, capsys):
+        # 100^2200 has 4401 digits, more than str(int) prints by default
+        code, out, err = run(capsys, "prob", "-t", "100^2200", "-p", "3")
+        assert code == 3 and out == "" and err.startswith("error: space size of 14617 bits")
+
     def test_huge_population_space_solve_is_three(self, capsys):
         code, out, err = run(capsys, "solve-t", "-p", "1e200", "--target", "0.5")
         assert code == 3 and out == "" and "1e30" in err
@@ -331,6 +350,23 @@ class TestExitCodes:
         f.write_text("name,population\nA,ten\n", encoding="utf-8")
         code, _, err = run(capsys, "rop-table", "--dataset", str(f))
         assert code == 3 and "line 2" in err
+
+    @pytest.mark.parametrize("argv", [("-t", "2^47", "-p", "1,4e7"), ("-t", "6,9e10", "-p", "3"),
+                                      ("-t", "3,65", "-p", "23")])
+    def test_decimal_comma_is_two(self, capsys, argv):
+        # "1,4e7" is not read as 1.4e8 draws (probability 1.0 at 2^47)
+        code, out, err = run(capsys, "prob", *argv)
+        assert code == 2 and out == "" and "bad " in err
+
+    @pytest.mark.parametrize("data", [
+        b"name,population\nMalm\xf6,300000\n",
+        b'name,population\nA,"' + b"1" * 140_000 + b'"\n',
+    ], ids=["cp1252", "overlong-cell"])
+    def test_unreadable_dataset_is_three(self, capsys, tmp_path, data):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(data)
+        code, out, err = run(capsys, "rop-table", "--dataset", str(f))
+        assert code == 3 and out == "" and err.startswith("error: line 2: ")
 
     def test_unknown_subcommand_is_two(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

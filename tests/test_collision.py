@@ -18,19 +18,21 @@ import pytest
 from ropcalc import (
     DomainError,
     EvalResult,
+    GaltonModel,
     IterationBudgetError,
     SeriesBoundError,
     SpaceSize,
     as_space_size,
     collision_probability,
     pair_count,
+    space_size,
     survival_log_exact,
     survival_log_series,
 )
 from ropcalc import collision
 from ropcalc.collision import _series_scan, _survival_log_product
 
-from conftest import fsum_survival_log, rational_collision
+from conftest import assert_same_space, fsum_survival_log, rational_collision
 
 # frozen: float of the exact rational 1 - 365!/(342! * 365^23)
 B_365_23 = 0.5072972343239854
@@ -77,39 +79,53 @@ class TestPairCount:
 
 class TestSpaceSize:
     def test_exact_form_for_small_integers(self):
-        s = as_space_size(365)
-        assert s.value == 365.0 and s.exact == 365
+        assert_same_space(as_space_size(365), 365.0)
 
     def test_power_of_two_keeps_exact_form(self):
-        s = as_space_size(2**36)
-        assert s.exact == 68_719_476_736
+        assert_same_space(as_space_size(2**36), 68_719_476_736.0)
 
     def test_large_integer_drops_exact_form(self):
-        # 10^20 is beyond 2**63 - 1
-        s = as_space_size(10**20)
-        assert s.exact is None and s.value == 1e20
+        # 10^20 is beyond 2**63 - 1, and still a float exactly
+        assert_same_space(as_space_size(10**20), 1e20)
 
     def test_unrepresentable_64bit_drops_exact_form(self):
-        # 2**63 - 1 does not round-trip through a double
-        s = as_space_size(2**63 - 1)
-        assert s.exact is None
+        # 2**63 - 1 does not round-trip through a double: it rounds to 2**63
+        assert_same_space(as_space_size(2**63 - 1), 2.0**63)
 
     def test_integer_float_regains_exact_form(self):
-        s = as_space_size(365.0)
-        assert s.exact == 365
+        assert_same_space(as_space_size(365.0), 365.0)
 
     def test_fractional_space_allowed(self):
-        s = as_space_size(10.5)
-        assert s.exact is None and s.value == 10.5
+        assert_same_space(as_space_size(10.5), 10.5)
 
-    @pytest.mark.parametrize("bad", [0, 0.5, -3, float("nan"), float("inf"), 2e30, 10**31])
+    @pytest.mark.parametrize("bad", [0, 0.5, -3, float("nan"), float("inf"), 2e30, 10**31,
+                                     int(1e30) + 1])
     def test_rejected_values(self, bad):
         with pytest.raises(DomainError):
             as_space_size(bad)
 
-    def test_mismatched_exact_rejected(self):
+    def test_huge_int_refusal_names_its_size(self):
+        # an int too long to print (over 4300 digits) is refused all the same
+        for t in (10**31, 10**5000):
+            with pytest.raises(DomainError, match=f"^space size of {t.bit_length()} bits exceeds"):
+                as_space_size(t)
+
+    @pytest.mark.parametrize("bad", [True, "365", None])
+    def test_rejected_inputs(self, bad):
         with pytest.raises(DomainError):
-            SpaceSize(365.0, 366)
+            as_space_size(bad)
+
+    @pytest.mark.parametrize("bad", [True, "365", None, 365, 2**36])
+    def test_non_float_value_rejected(self, bad):
+        with pytest.raises(DomainError):
+            SpaceSize(bad)
+
+    def test_equal_spaces_compare_and_hash_equal(self):
+        built = [as_space_size(2**36), as_space_size(2.0**36), SpaceSize(2.0**36),
+                 as_space_size(SpaceSize(2.0**36)), space_size(GaltonModel())]
+        assert all(s == built[0] and hash(s) == hash(built[0]) for s in built)
+        assert len(set(built)) == 1
+        assert len({as_space_size(365), as_space_size(365.0), SpaceSize(365.0)}) == 1
 
     def test_idempotent(self):
         s = as_space_size(42)

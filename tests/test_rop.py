@@ -36,6 +36,8 @@ from ropcalc import (
     space_size,
 )
 
+from conftest import assert_same_space
+
 # (name, parsed population, expected table rendering)
 CITY_GOLDENS = [
     ("New York City", 8_419_600, "≈ 100%"),
@@ -73,15 +75,15 @@ class TestModels:
     def test_galton_board_bits(self):
         m = GaltonModel()
         assert (m.unit_squares, m.ridge_entry_exit_bits, m.adjacent_course_bits) == (24, 8, 4)
-        assert space_size(m).exact == 2**36
+        assert_same_space(space_size(m), 2.0**36)
 
     def test_region_pairs(self):
         m = RegionModel()
         assert (m.independent_regions, m.choices_per_region) == (47, 2)
-        assert space_size(m).exact == 2**47 and space_size(m).value == 2.0**47
+        assert_same_space(space_size(m), 2.0**47)
 
     def test_custom_bit_budget(self):
-        assert space_size(GaltonModel(10, 3, 2)).exact == 2**15
+        assert_same_space(space_size(GaltonModel(10, 3, 2)), 2.0**15)
 
     def test_rejects_nonpositive_fields(self):
         with pytest.raises(DomainError):
@@ -310,6 +312,16 @@ class TestParsePopulations:
         recs = parse_populations('name,population\nA,"10\nB,20\n')
         assert recs == [PopulationRecord("A", 10), PopulationRecord("B", 20)]
 
+    def test_overlong_quoted_cell_names_the_line(self):
+        # csv refuses a field longer than csv.field_size_limit() (131,072 characters)
+        long_cell = '"' + "x" * 140_000 + '"'
+        with pytest.raises(IngestError) as exc:
+            parse_populations(f"name,population\nA,{long_cell}\nB,ten\n")
+        assert str(exc.value).startswith("line 2: field larger than field limit")
+        assert "line 3: not a whole number" in str(exc.value)
+        with pytest.raises(IngestError, match="^line 2: field larger"):
+            parse_populations(f"# note\nname,{long_cell}\nA,1\n")
+
     def test_cells_match_csv_reader_on_a_seeded_corpus(self):
         # lines with no quote take str.split, the rest csv.reader; every
         # non-blank line must split as csv.reader reads it alone (csv reads
@@ -422,6 +434,27 @@ class TestLoadDump:
             parse_populations("\ufeffname,population\nA,10\n,5\n")
         with pytest.raises(IngestError, match="header must name both"):
             parse_populations("\ufeff\ufeff" + table)
+
+    @pytest.mark.parametrize("data, line, byte", [
+        (b"name,population\nMalm\xf6,300000\n", 2, "0xf6"),  # Windows-1252
+        (b"name,population\nA,\xff\xfe100\n", 2, "0xff"),
+        (b"\xef\xbb\xbfname,population\r\n\r\nA,1\r\nB\xe9,2\r\n", 4, "0xe9"),
+        (b"nam\xe9,population\nA,1\n", 1, "0xe9"),
+        (b"name,population\nA,1\nB,\xe2\x82", 3, "0xe2"),  # cut mid-character
+    ], ids=["cp1252", "ff-fe", "bom-crlf", "header", "truncated"])
+    def test_non_utf8_table_names_the_line(self, tmp_path, data, line, byte):
+        f = tmp_path / "table.csv"
+        f.write_bytes(data)
+        with pytest.raises(IngestError, match=f"^line {line}: byte {byte} is not UTF-8"):
+            load_populations(f)
+
+    def test_crlf_table_reads_as_lf(self, tmp_path):
+        f = tmp_path / "crlf.csv"
+        f.write_bytes(b"name,population\r\nA,10\r\n\r\nB,\"2,000\"\r\n")
+        assert load_populations(f) == parse_populations('name,population\nA,10\n\nB,"2,000"\n')
+        f.write_bytes(b"name,population\r\nA,10\r\n\r\n,5\r\n")
+        with pytest.raises(IngestError, match="^line 4: empty name$"):
+            load_populations(f)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
