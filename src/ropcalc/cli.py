@@ -63,8 +63,10 @@ def parse_space_expr(text: str):
         if m:
             base = int(_strip_groups(m.group("base")))
             exp = int(_strip_groups(m.group("exp")))
-            if exp > 4096:
-                raise ValueError("exponent too large")
+            # base**exp has at most exp * bit_length(base) bits: refuse a huge power
+            # before forming it; up to 2^16 bits the 1e30 range check names its size
+            if exp > 4096 or exp * base.bit_length() > 1 << 16:
+                raise ValueError("exponent too large" if exp > 4096 else "power too large")
             return base**exp
         if _GROUPED_INT.fullmatch(expr):
             return int(_strip_groups(expr))
@@ -156,11 +158,10 @@ def _cmd_solve_p(args):
 
 
 def _cmd_solve_t(args):
-    population = args.population if args.population is not None else args.phi
-    space = solve_space(population, SolveTarget(args.target, args.tolerance))
-    attained = collision_probability(space, population).probability
+    space = solve_space(args.population, SolveTarget(args.target, args.tolerance))
+    attained = collision_probability(space, args.population).probability
     payload = {
-        "population": population,
+        "population": args.population,
         "target": args.target,
         "space": space.value,
         "probability": attained,
@@ -261,12 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solvep.set_defaults(func=_cmd_solve_p)
 
     p_solvet = sub.add_parser("solve-t", help="space size pinning a target probability")
-    p_solvet.add_argument("-p", "--population", type=_count_arg, default=None,
-                          help="number of draws (defaults to --phi, the world population)")
+    p_solvet.add_argument("-p", "--population", "--phi", type=_count_arg,
+                          default=DEFAULT_WORLD_POPULATION,
+                          help="number of draws (default 8.2e9, the world population)")
     p_solvet.add_argument("--target", type=float, required=True,
                           help="target probability in (0, 1)")
-    p_solvet.add_argument("--phi", type=_count_arg, default=DEFAULT_WORLD_POPULATION,
-                          help="world population used when -p is omitted (default 8.2e9)")
     p_solvet.add_argument("--tolerance", type=float, default=1e-9,
                           help="relative tolerance on the space size (default 1e-9)")
     _add_format(p_solvet)

@@ -241,12 +241,13 @@ def _survival_log_product(t: float, p: int) -> float:
     return total + comp
 
 
-def _check_budget(p: int, budget) -> None:
+def _check_budget(t: float, p: int, budget) -> None:
+    # the one over-budget refusal; callers settle the pigeonhole case first, so p/t is finite
     if p - 1 > budget:
-        raise IterationBudgetError(
-            f"exact product needs {p - 1} factors, over the budget of {budget}; "
-            "use the series method instead"
-        )
+        ratio = p / t
+        advice = "so use the series method instead" if ratio < _SERIES_MAX_RATIO else "too large for the series"
+        raise IterationBudgetError(f"exact product needs {p - 1} factors, over the budget of {budget}; "
+                                   f"p/t = {ratio:.3g}, {advice}")
 
 
 def survival_log_exact(t, p, *, budget: int = DEFAULT_EXACT_BUDGET) -> float:
@@ -254,8 +255,8 @@ def survival_log_exact(t, p, *, budget: int = DEFAULT_EXACT_BUDGET) -> float:
 
     Walks all p - 1 factors, so p - 1 must not exceed ``budget``
     (default 1e8).  Requires 2 <= p and p - 1 < t so every factor is a
-    positive fraction.  Raises IterationBudgetError when over budget; use
-    the series route in that case.
+    positive fraction.  Raises IterationBudgetError when over budget, which
+    names the series route where it is certified (p/t < 1/2).
     """
     space = as_space_size(t)
     p = _as_count(p)
@@ -266,7 +267,7 @@ def survival_log_exact(t, p, *, budget: int = DEFAULT_EXACT_BUDGET) -> float:
             f"population {p} leaves no free values in a space of {space.value!r}; "
             "a repeat is guaranteed there"
         )
-    _check_budget(p, budget)
+    _check_budget(space.value, p, budget)
     return _survival_log_product(space.value, p)
 
 
@@ -427,12 +428,6 @@ def collision_probability(
         # Over the budget only the series is left; within it the O(p) walk
         # pays off for short products, and is the one route for p/t >= 1/2.
         ratio = p / space.value
-        if p - 1 > exact_budget and ratio >= _SERIES_MAX_RATIO:
-            raise IterationBudgetError(
-                f"population {p} is over the exact budget of {exact_budget} and "
-                f"p/t = {ratio:.3g} is too large for the certified series; "
-                "raise exact_budget to force the product evaluation"
-            )
         if _AUTO_SERIES_RATIO < ratio < _SERIES_MAX_RATIO:
             k = 1.0 + _LOG_STOP / math.log(ratio)
             cheap = p - 1 > min(exact_budget, _AUTO_FACTORS_PER_ORDER2 * k * k + _AUTO_FACTORS_BASE)
@@ -442,7 +437,7 @@ def collision_probability(
 
     if method == EXACT:
         # p <= 1 and the pigeonhole case are settled above; only the budget is left
-        _check_budget(p, exact_budget)
+        _check_budget(space.value, p, exact_budget)
         return _result_from_log(_survival_log_product(space.value, p), EXACT, 0.0)
     value, tail, k = _series_scan(space.value, p, order)
     return _result_from_log(value, SERIES, _prob_bound(value, tail), k)

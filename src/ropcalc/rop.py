@@ -274,11 +274,14 @@ def parse_populations(text: str, *, delimiter=None) -> "list[PopulationRecord]":
 
 
 def load_populations(source, *, delimiter=None) -> "list[PopulationRecord]":
-    """Read a population table from a path to UTF-8 text or an open text stream."""
+    """Read a population table from a path to UTF-8 text or an open text or binary stream."""
     if hasattr(source, "read"):
-        return parse_populations(source.read(), delimiter=delimiter)
-    with open(os.fspath(source), "rb") as fh:
-        data = fh.read()
+        data = source.read()
+    else:
+        with open(os.fspath(source), "rb") as fh:
+            data = fh.read()
+    if isinstance(data, str):  # a text stream, decoded by its opener
+        return parse_populations(data, delimiter=delimiter)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:

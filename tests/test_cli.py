@@ -7,6 +7,7 @@ from argparse, domain failures as return code 3, success as 0.
 import json
 import math
 import sys
+import time
 
 import pytest
 
@@ -43,6 +44,14 @@ class TestSpaceExpr:
     def test_syntax_errors(self, bad):
         with pytest.raises(ValueError):
             parse_space_expr(bad)
+
+    def test_huge_power_is_refused_before_it_is_formed(self):
+        # a 2,000-digit base to the 4096th has ~27 million bits; forming it
+        # first took seconds
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="power too large"):
+            parse_space_expr("9" * 2000 + "^4096")
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("text, value", [
         ("68,719,476,736", 68_719_476_736), ("1,000,000", 10**6), ("1_000_000", 10**6),
@@ -171,6 +180,13 @@ class TestSolveT:
         payload = json.loads(out)
         assert payload["population"] == 1000
         assert payload["space"] == pytest.approx(499_500 / math.log(2), rel=1e-3)
+
+    def test_phi_is_a_second_spelling_of_population(self, capsys):
+        # one option: the last of -p and --phi wins
+        outs = [run(capsys, "solve-t", *flags, "--target", "0.5", "--format", "json")
+                for flags in (["-p", "1000"], ["--phi", "2000", "-p", "1000"],
+                              ["-p", "2000", "--phi", "1000"])]
+        assert outs[0] == outs[1] == outs[2] and json.loads(outs[0][1])["population"] == 1000
 
     def test_tolerance_flag(self, capsys):
         code, out, _ = run(
@@ -462,3 +478,36 @@ class TestGolden:
         code, out, _ = run(capsys, *argv, "--format", fmt)
         assert code == 0
         assert out == expected[fmt]
+
+
+# Answers of the kernels and solvers, frozen as the --format json payloads the
+# CLI printed for them (a four-block exact product, an order-40 series at
+# p/t = 0.4, the 2^96 population solve, the world space solve, and the first
+# row of the bundled table at 2^36, which takes the order-4 series), compared
+# bit for bit.
+_FROZEN_JSON = [
+    (["prob", "-t", "1e12", "-p", "200003", "--method", "exact"],
+     {"probability": 0.019801818102379472, "log_survival": -0.020000501336383467,
+      "method": "exact", "order": None, "error_bound": 0.0, "note": None}),
+    (["prob", "-t", "2500000", "-p", "1000000", "--method", "series", "--order", "40"],
+     {"probability": 1.0, "log_survival": -233761.3089382243, "method": "series", "order": 40,
+      "error_bound": 5e-16, "note": None}),
+    (["solve-p", "-t", "2^96", "--target", "0.01"],
+     {"space": 7.922816251426434e+28, "target": 0.01, "population": 39906632088519,
+      "probability": 0.01000000000000047}),
+    (["solve-t", "--target", "0.5"],
+     {"population": 8200000000, "target": 0.5, "space": 4.850340728442743e+19,
+      "probability": 0.4999999999076664}),
+    (["rop-table"],
+     {"name": "New York City", "population": 8419600, "probability": 1.0,
+      "log_survival": -515.8111968338852, "display": "≈ 100%"}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _FROZEN_JSON,
+                         ids=["exact-4-blocks", "series-order-40", "solve-p-2p96",
+                              "solve-t-world", "rop-table-first-row"])
+def test_frozen_json_answer(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and (payload[0] if isinstance(payload, list) else payload) == expected

@@ -178,6 +178,20 @@ class TestSurvivalLogExact:
         with pytest.raises(IterationBudgetError, match="series"):
             survival_log_exact(1e12, 10**7, budget=10**6)
 
+    @pytest.mark.parametrize("method", ["auto", "exact", "survival_log_exact"])
+    def test_dense_over_budget_refusals_agree(self, method):
+        # p/t = 2/3 is over the budget and too dense for the series, so no
+        # route may send the caller to the series, which would refuse too
+        t, p = 3e8, 2 * 10**8
+        with pytest.raises(IterationBudgetError) as info:
+            if method == "survival_log_exact":
+                survival_log_exact(t, p)
+            else:
+                collision_probability(t, p, method)
+        message = str(info.value)
+        assert "199999999 factors" in message and "100000000" in message
+        assert "p/t = 0.667" in message and "use the series" not in message
+
     def test_rejects_single_draw(self):
         with pytest.raises(DomainError):
             survival_log_exact(365, 1)

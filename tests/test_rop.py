@@ -448,6 +448,19 @@ class TestLoadDump:
         with pytest.raises(IngestError, match=f"^line {line}: byte {byte} is not UTF-8"):
             load_populations(f)
 
+    def test_binary_stream_reads_as_a_path(self, tmp_path):
+        data = "name,population\nMalmö,300000\nB,\"2,000\"\n".encode("utf-8")
+        f = tmp_path / "table.csv"
+        f.write_bytes(data)
+        expected = [PopulationRecord("Malmö", 300_000), PopulationRecord("B", 2000)]
+        assert load_populations(io.BytesIO(data)) == load_populations(f) == expected
+        with f.open("rb") as fh:
+            assert load_populations(fh) == expected
+
+    def test_latin1_binary_stream_names_the_line(self):
+        with pytest.raises(IngestError, match="^line 2: byte 0xf6 is not UTF-8"):
+            load_populations(io.BytesIO(b"name,population\nMalm\xf6,300000\n"))
+
     def test_crlf_table_reads_as_lf(self, tmp_path):
         f = tmp_path / "crlf.csv"
         f.write_bytes(b"name,population\r\nA,10\r\n\r\nB,\"2,000\"\r\n")
