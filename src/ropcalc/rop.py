@@ -293,12 +293,17 @@ def load_populations(source, *, delimiter=None) -> "list[PopulationRecord]":
 
 
 def dump_populations(records) -> str:
-    """Serialize records back to normalized CSV (plain digits, comma-separated)."""
+    """Serialize records to normalized CSV (plain digits, comma-separated) that
+    ``parse_populations`` reads back: a name led by '#' is quoted, so its row is no comment,
+    and a name holding a line boundary is refused with DomainError."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "population"])
+    plain = csv.writer(buf, lineterminator="\n")
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+    plain.writerow(["name", "population"])
     for rec in records:
-        writer.writerow([rec.name, str(rec.population)])
+        if rec.name.splitlines() != [rec.name]:
+            raise DomainError(f"{rec!r}: a name with a line break cannot be one table row")
+        (quoted if rec.name.lstrip()[:1] == "#" else plain).writerow([rec.name, rec.population])
     return buf.getvalue()
 
 

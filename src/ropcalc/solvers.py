@@ -71,19 +71,22 @@ def _prob(t, p) -> float:
     return collision_probability(t, p).probability
 
 
-def _secant(prob, goal, v, d, ends, step):
-    """Up to 8 secant probes of prob on (ln v, ln -log(1 - prob)), from v with inverse slope
-    d, while v lies inside ends = [miss, hit], the nearest points known to miss and to reach
-    goal; step(v, r) maps the root r to the next v.  Returns the last r, or nan."""
-    g0, d0, last, r = math.log(-math.log1p(-goal)), d, None, math.nan
+def _secant(evaluate, goal, v, d, ends, step):
+    """Up to 8 secant probes on (ln v, ln(log_survival / edge)), from v with inverse slope d,
+    while v lies inside ends = [miss, hit], the nearest points known to miss and to reach goal;
+    edge is the log-survival at which the float probability first rounds up to goal.  step(v, r)
+    maps the root r to the next v.  Returns the last r, or nan."""
+    edge = math.log((1.0 - goal) + math.ulp(goal) / 2) if goal >= 0.5 else math.log1p(-goal)
+    d0, last, r = d, None, math.nan
     for _ in range(8):
         if not min(ends) < v < max(ends):
             break
-        q = prob(v)
-        ends[q >= goal] = v
-        if not 0.0 < q < 1.0:
+        e = evaluate(v)
+        ends[e.probability >= goal] = v
+        # stops at log_survival 0 or -inf, and keeps ln from a ratio that underflows to 0
+        if not 0.0 < (q := e.log_survival / edge) < math.inf:
             break
-        g = math.log(-math.log1p(-q)) - g0
+        g = math.log(q)
         # the secant's inverse slope; nan, which stops below, where the map is flat
         d = math.log(v / last[0]) / (g - last[1] or math.nan) if last else d
         if not 0.0 < d / d0 < math.inf:
@@ -117,15 +120,9 @@ def solve_population(t, target) -> int:
     # [1, 2*p0] to prob(lo) < goal <= prob(hi); an unprobed hi that misses falls back to the cap
     p0 = math.isqrt(math.ceil(2.0 * space.value * -math.log1p(-goal))) + 1
     ends = [1, min(2 * p0, cap)]
-    r = _secant(lambda n: _prob(space, n), goal, p0, 0.5, ends,
-                lambda n, r: min(max(math.ceil(r), ends[0] + 1), ends[1] - 1))
+    _secant(lambda n: collision_probability(space, n), goal, p0, 0.5, ends,
+            lambda n, r: min(max(math.ceil(r), ends[0] + 1), ends[1] - 1))
     lo, hi = ends
-    # secant probes that tie near probability 1 (flat float probability) leave lo at 1 and r at the
-    # hit hi: gallop down to hi - 1, 2, 4, 16, 256, ... to a miss; squared steps cap it at 7 probes
-    top, step = hi, 1
-    while lo == 1 < top - step and r > top - 1:
-        lo, hi = (lo, top - step) if _prob(space, top - step) >= goal else (top - step, hi)
-        step = max(2, step * step)
     if hi == min(2 * p0, cap) and _prob(space, hi) < goal:
         lo, hi = hi, cap
         if _prob(space, hi) < goal:
@@ -176,7 +173,7 @@ def solve_space(p, target) -> SpaceSize:
     # so both differ from r), narrow the probed pair ends = [b, a], prob(a) >= x > prob(b);
     # monotonicity decides every midpoint outside (a, b)
     ends, w = [hi, lo], max(goal.tolerance / 16, math.ulp(1.0))
-    r = _secant(lambda t: _prob(t, p), x, t0, -1.0, ends,
+    r = _secant(lambda t: collision_probability(t, p), x, t0, -1.0, ends,
                 lambda t, r: r if abs(r - t) > w * t else math.nan)
     for c in (r * (1 - w), r * (1 + w)):
         if ends[1] < c < ends[0]:

@@ -408,6 +408,12 @@ class TestGroupedDigits:
             f"line {line}: not a whole number: {cell}" for line, cell in enumerate(shown, start=3))
 
 
+# names on one line with no outer whitespace, often led by a character the CSV reader treats
+# specially (a comment mark or a quote)
+_ONE_LINE_NAMES = st.tuples(st.sampled_from(["", "#", '"']), st.text()).map("".join).filter(
+    lambda s: s and s.strip() == s and s.splitlines() == [s])
+
+
 class TestLoadDump:
     def test_load_from_path(self, tmp_path):
         f = tmp_path / "pops.csv"
@@ -485,6 +491,24 @@ class TestLoadDump:
     def test_round_trip(self):
         recs = load_bundled_cities()
         assert parse_populations(dump_populations(recs)) == recs
+
+    @given(st.lists(
+        st.builds(PopulationRecord, _ONE_LINE_NAMES, st.integers(min_value=0, max_value=10**30)),
+        min_size=1, max_size=5, unique_by=lambda r: r.name))
+    def test_round_trip_any_one_line_names(self, recs):
+        # outer whitespace is normalized away on reading, so names here have none
+        assert parse_populations(dump_populations(recs)) == recs
+
+    def test_dump_quotes_names_that_look_like_comments(self):
+        recs = [PopulationRecord("#1 Fan Club", 5), PopulationRecord("Z", 7)]
+        out = dump_populations(recs)
+        assert out == 'name,population\n"#1 Fan Club",5\nZ,7\n'
+        assert parse_populations(out) == recs
+
+    @pytest.mark.parametrize("name", ["A\nB", "X\u2028Y", "Caf\x85e", "A\r\nB"])
+    def test_dump_refuses_names_with_line_breaks(self, name):
+        with pytest.raises(DomainError, match="line break"):
+            dump_populations([PopulationRecord("ok", 1), PopulationRecord(name, 2)])
 
     def test_bundled_table_shape(self):
         recs = load_bundled_cities()

@@ -41,6 +41,12 @@ SPACE_50_PERCENT = 4.85034072715e19
 SPACE_75_PERCENT = 2.42517036371e19
 
 
+def _double(probability):
+    """A stand-in evaluation result: the probability and its log_survival (-inf at 1)."""
+    ls = -math.inf if probability == 1.0 else math.log1p(-probability)
+    return SimpleNamespace(probability=probability, log_survival=ls)
+
+
 @pytest.fixture
 def probes(monkeypatch):
     """The (t, p) pairs the solvers evaluate the forward map at, in order."""
@@ -160,12 +166,31 @@ class TestSolvePopulation:
             64566166148834, 582700282292571, 108273592296609, 3525477517166878,
             1587625434240007, 75497874628753, 3229473361606961, 1765066682715806]
 
+    def test_tied_cases_aim_at_the_float_crossing(self, probes):
+        # near probability 1 the float probability is flat for ~20 populations below the
+        # log-survival crossing; secant probes on log_survival aimed at the float crossing
+        # land on the answer's neighbours, where probes of the rounded probability tied
+        rng = random.Random(20261018)
+        cases = [(round(_log_uniform(rng, 1e26, 1e30)), 1 - _log_uniform(rng, 6e-7, 6e-4))
+                 for _ in range(12)] + [(1.387e28, 0.99944), (5e29, 0.9995)]
+        for t, x in cases:
+            probes.clear()
+            answer = solve_population(t, x)
+            assert len(probes) <= 4, (t, x)
+            assert _forward(t, answer - 1) < x <= _forward(t, answer), (t, x)
+
+    def test_last_float_below_one_in_the_widest_space(self, probes):
+        # frozen: the first population whose evaluated probability reaches 1 - 2**-53 in a
+        # space of 1e30, as bisection from 1 finds it
+        assert solve_population(1e30, 1 - 2**-53) == 8524240196236711
+        assert len(probes) <= 6
+
     def test_search_cap_is_the_pigeonhole_cutoff_above_2_pow_63(self, monkeypatch):
         # A forward map that only reports a repeat once one is forced makes
         # the search run up to its cap, which must be the first p with
         # p - 1 >= t: 2**70 + 1, not the rounded float 2**70 + 1.0 == 2**70.
         def forced_only(t, p):
-            return SimpleNamespace(probability=1.0 if p - 1 >= as_space_size(t).value else 0.0)
+            return _double(1.0 if p - 1 >= as_space_size(t).value else 0.0)
 
         monkeypatch.setattr(solvers, "collision_probability", forced_only)
         assert solve_population(2**70, 0.5) == 2**70 + 1
@@ -425,8 +450,7 @@ class TestAdversarialMaps:
 
     @staticmethod
     def _patch(monkeypatch, prob):
-        monkeypatch.setattr(
-            solvers, "collision_probability", lambda t, p: SimpleNamespace(probability=prob(t, p)))
+        monkeypatch.setattr(solvers, "collision_probability", lambda t, p: _double(prob(t, p)))
 
     @pytest.mark.parametrize("kind", sorted(ADVERSARIAL))
     def test_population(self, monkeypatch, kind):
@@ -464,3 +488,25 @@ class TestAdversarialMaps:
             self._patch(monkeypatch, prob)
             assert _outcome(lambda: solve_space(p, x).value) == expected, (p, x, crossing)
             assert len(calls) <= most, (p, x, crossing)
+
+
+class TestNearCertainty:
+    """Targets within 1e-8 (populations) or 1e-3 (spaces) of 1 cost what mid-range ones do."""
+
+    def test_population_answers_are_the_bisections(self, probes):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            t, x = round(_log_uniform(rng, 1e20, 1e30)), 1 - _log_uniform(rng, 2**-53, 1e-8)
+            probes.clear()
+            got = solve_population(t, x)
+            assert len(probes) <= 6, (t, x)
+            assert got == bisect_population(_forward, t, x), (t, x)
+
+    def test_space_roots_are_the_bisections(self, probes):
+        rng = random.Random(20261019)
+        for _ in range(100):
+            p, x = round(_log_uniform(rng, 1e3, 1e15)), 1 - _log_uniform(rng, 2**-53, 1e-3)
+            probes.clear()
+            got = _outcome(lambda: solve_space(p, x).value)
+            assert len(probes) <= 8, (p, x)
+            assert got == _outcome(bisect_space, _forward, p, x), (p, x)
