@@ -7,16 +7,18 @@ machine integer (up to 1e30), and the population ``p`` may run into the
 trillions, so everything is evaluated through the log of the survival
 (no-repeat) probability rather than the product itself.
 
-Two evaluation routes are provided:
+``collision_probability`` takes one of two routes, named by ``method``:
 
-* ``survival_log_exact`` walks the product factors (t - n) / t directly,
-  taking each factor as log1p(-n / t) and accumulating with compensated
-  summation over fixed-size blocks.  Cost is O(p).
-* ``survival_log_series`` expands each log1p term as a power series and
-  swaps the order of summation, which turns the whole sum into a handful
-  of cumulative power sums, each computed exactly in integer arithmetic
-  from the lower orders.  Cost grows with the order, not with p, and the
-  truncation error carries a certified bound.
+* "exact" walks the product factors (t - n) / t directly, taking each
+  factor as log1p(-n / t) and accumulating with compensated summation
+  over fixed-size blocks.  Cost is O(p).
+* "series" expands each log1p term as a power series and swaps the order
+  of summation, which turns the whole sum into a handful of cumulative
+  power sums, each computed exactly in integer arithmetic from the lower
+  orders.  Cost grows with the order, not with p, and the truncation
+  error carries a certified bound.
+
+"auto", the default, picks between them by cost.
 
 Both routes use fixed partitioning and a fixed reduction order, so results
 are reproducible bit for bit from run to run.  All public functions are
@@ -42,8 +44,6 @@ __all__ = [
     "DEFAULT_EXACT_BUDGET",
     "as_space_size",
     "pair_count",
-    "survival_log_exact",
-    "survival_log_series",
     "collision_probability",
 ]
 
@@ -241,36 +241,6 @@ def _survival_log_product(t: float, p: int) -> float:
     return total + comp
 
 
-def _check_budget(t: float, p: int, budget) -> None:
-    # the one over-budget refusal; callers settle the pigeonhole case first, so p/t is finite
-    if p - 1 > budget:
-        ratio = p / t
-        advice = "so use the series method instead" if ratio < _SERIES_MAX_RATIO else "too large for the series"
-        raise IterationBudgetError(f"exact product needs {p - 1} factors, over the budget of {budget}; "
-                                   f"p/t = {ratio:.3g}, {advice}")
-
-
-def survival_log_exact(t, p, *, budget: int = DEFAULT_EXACT_BUDGET) -> float:
-    """Log of the no-repeat probability via the direct factor product.
-
-    Walks all p - 1 factors, so p - 1 must not exceed ``budget``
-    (default 1e8).  Requires 2 <= p and p - 1 < t so every factor is a
-    positive fraction.  Raises IterationBudgetError when over budget, which
-    names the series route where it is certified (p/t < 1/2).
-    """
-    space = as_space_size(t)
-    p = _as_count(p)
-    if p < 2:
-        raise DomainError(f"need at least 2 draws for a repeat, got {p}")
-    if _is_guaranteed_repeat(space, p):
-        raise DomainError(
-            f"population {p} leaves no free values in a space of {space.value!r}; "
-            "a repeat is guaranteed there"
-        )
-    _check_budget(space.value, p, budget)
-    return _survival_log_product(space.value, p)
-
-
 # --- exact cumulative power sums ------------------------------------------
 
 @functools.cache
@@ -303,9 +273,7 @@ def _power_sums(m: int):
 
 def _log_int(n: int) -> float:
     # log of a positive big integer without float overflow
-    if n.bit_length() <= 53:
-        return math.log(n)
-    shift = n.bit_length() - 53
+    shift = max(n.bit_length() - 53, 0)
     return math.log(n >> shift) + shift * _LN2
 
 
@@ -377,22 +345,6 @@ def _series_scan(t: float, p: int, order=None):
     return value, tail, k
 
 
-def survival_log_series(t, p, order: int) -> "tuple[float, float]":
-    """Log of the no-repeat probability via the truncated power series.
-
-    Returns ``(value, abs_error_bound)`` where the bound is the magnitude
-    of the first omitted term times the geometric safety factor
-    1 / (1 - p/t).  Certified only for p/t < 1/2; larger ratios are
-    refused.  ``order`` must be from 2 to 512.  Cost does not grow with p.
-    """
-    space = as_space_size(t)
-    p = _as_count(p)
-    _check_order(order)
-    if p <= 1:
-        return 0.0, 0.0
-    return _series_scan(space.value, p, order)[:2]
-
-
 def collision_probability(
     t, p, method: str = AUTO, *, order=None, exact_budget: int = DEFAULT_EXACT_BUDGET
 ) -> EvalResult:
@@ -436,8 +388,13 @@ def collision_probability(
         method = SERIES if cheap else EXACT
 
     if method == EXACT:
-        # p <= 1 and the pigeonhole case are settled above; only the budget is left
-        _check_budget(space.value, p, exact_budget)
+        # the one over-budget refusal; p <= 1 and the pigeonhole case are settled above, so p/t is finite
+        if p - 1 > exact_budget:
+            ratio = p / space.value
+            advice = ("so use the series method instead" if ratio < _SERIES_MAX_RATIO
+                      else "too large for the series")
+            raise IterationBudgetError(f"exact product needs {p - 1} factors, over the budget of "
+                                       f"{exact_budget}; p/t = {ratio:.3g}, {advice}")
         return _result_from_log(_survival_log_product(space.value, p), EXACT, 0.0)
     value, tail, k = _series_scan(space.value, p, order)
     return _result_from_log(value, SERIES, _prob_bound(value, tail), k)

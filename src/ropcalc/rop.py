@@ -44,7 +44,6 @@ __all__ = [
     "RopEntry",
     "SATURATION_THRESHOLD",
     "space_size",
-    "rop",
     "rop_table",
     "format_percent",
     "parse_populations",
@@ -146,11 +145,6 @@ class RopEntry:
     record: PopulationRecord
     result: EvalResult
     display: str
-
-
-def rop(population, space) -> EvalResult:
-    """Random overlap probability for a group of this size in this space."""
-    return collision_probability(space, population)
 
 
 def format_percent(probability: float) -> str:

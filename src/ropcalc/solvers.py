@@ -14,6 +14,7 @@ specializes the second question to the whole world population.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .collision import (
@@ -62,6 +63,8 @@ class SolveTarget:
 def _as_target(target) -> SolveTarget:
     if isinstance(target, SolveTarget):
         return target
+    if isinstance(target, int) and abs(target) > sys.float_info.max:  # exactly: float() would overflow
+        raise DomainError(f"target must be inside (0, 1), got an int of {target.bit_length()} bits")
     if isinstance(target, (int, float)) and not isinstance(target, bool):
         return SolveTarget(float(target))
     raise DomainError(f"target must be a number or SolveTarget, got {type(target).__name__}")
@@ -197,6 +200,8 @@ def space_for_world_overlap(percent, world_population: int = DEFAULT_WORLD_POPUL
     """
     if isinstance(percent, bool) or not isinstance(percent, (int, float)):
         raise DomainError(f"percent must be a number, got {type(percent).__name__}")
+    if isinstance(percent, int) and abs(percent) > sys.float_info.max:  # exactly: float() would overflow
+        raise DomainError(f"percent must be inside (0, 100), got an int of {percent.bit_length()} bits")
     if not 0.0 < float(percent) < 100.0:
         raise DomainError(f"percent must be strictly between 0 and 100, got {percent!r}")
     return solve_space(world_population, float(percent) / 100.0)

@@ -299,6 +299,11 @@ class TestCurve:
         code, out, err = run(capsys, "curve", "-t", "1e30", "--p-max", "9" * 400, "--samples", "3")
         assert code == 3 and out == "" and err.startswith("error: --p-max") and "float" in err
 
+    @pytest.mark.parametrize("samples, p_max", [("1", "30"), ("3", "0")], ids=["samples-1", "p-max-0"])
+    def test_degenerate_sampling_is_three(self, capsys, samples, p_max):
+        code, out, err = run(capsys, "curve", "-t", "365", "--p-max", p_max, "--samples", samples)
+        assert code == 3 and out == "" and err.startswith("error: ")
+
     def test_p_max_at_the_float_limit_still_samples(self, capsys):
         p_max = int(sys.float_info.max)
         code, out, _ = run(capsys, "curve", "-t", "1e30", "--p-max", str(p_max),

@@ -26,8 +26,6 @@ from ropcalc import (
     collision_probability,
     pair_count,
     space_size,
-    survival_log_exact,
-    survival_log_series,
 )
 from ropcalc import collision
 from ropcalc.collision import _series_scan, _survival_log_product
@@ -135,17 +133,17 @@ class TestSpaceSize:
 class TestSurvivalLogExact:
     def test_two_draw_case_is_log1p(self):
         for t in (2.0, 365.0, 1e12, 1e30):
-            assert survival_log_exact(t, 2) == math.log1p(-1 / t)
+            assert collision_probability(t, 2, "exact").log_survival == math.log1p(-1 / t)
 
     def test_three_draws_from_365(self):
-        v = survival_log_exact(365, 3)
+        v = collision_probability(365, 3, "exact").log_survival
         assert v == pytest.approx(V_365_3, abs=1e-16)
         # and the defining two-term form agrees
         assert v == pytest.approx(math.log(364 / 365) + math.log(363 / 365), abs=1e-15)
 
     def test_galton_space_million_draws(self, galton_space):
-        v = survival_log_exact(galton_space, 10**6)
-        assert -math.expm1(v) == pytest.approx(B_2POW36_1E6, abs=1e-13)
+        r = collision_probability(galton_space, 10**6, "exact")
+        assert r.probability == pytest.approx(B_2POW36_1E6, abs=1e-13)
 
     @pytest.mark.parametrize("p", [2, 3, 1000, 65535, 65536, 65537, 131073])
     def test_matches_fsum_oracle_across_block_boundaries(self, p):
@@ -165,44 +163,33 @@ class TestSurvivalLogExact:
 
     @pytest.mark.parametrize("p, t, frozen", EXACT_MULTI_BLOCK)
     def test_multi_block_products_are_frozen(self, p, t, frozen):
-        v = survival_log_exact(t, p)
+        v = collision_probability(t, p, "exact").log_survival
         assert v.hex() == frozen
         assert v == pytest.approx(fsum_survival_log(t, p), rel=1e-13)
 
     def test_deterministic(self):
-        a = survival_log_exact(2**36, 123_457)
-        b = survival_log_exact(2**36, 123_457)
-        assert a == b
+        a = collision_probability(2**36, 123_457, "exact")
+        b = collision_probability(2**36, 123_457, "exact")
+        assert a.log_survival.hex() == b.log_survival.hex()
 
     def test_budget_error_mentions_series(self):
         with pytest.raises(IterationBudgetError, match="series"):
-            survival_log_exact(1e12, 10**7, budget=10**6)
+            collision_probability(1e12, 10**7, "exact", exact_budget=10**6)
 
-    @pytest.mark.parametrize("method", ["auto", "exact", "survival_log_exact"])
+    @pytest.mark.parametrize("method", ["auto", "exact"])
     def test_dense_over_budget_refusals_agree(self, method):
         # p/t = 2/3 is over the budget and too dense for the series, so no
         # route may send the caller to the series, which would refuse too
         t, p = 3e8, 2 * 10**8
         with pytest.raises(IterationBudgetError) as info:
-            if method == "survival_log_exact":
-                survival_log_exact(t, p)
-            else:
-                collision_probability(t, p, method)
+            collision_probability(t, p, method)
         message = str(info.value)
         assert "199999999 factors" in message and "100000000" in message
         assert "p/t = 0.667" in message and "use the series" not in message
 
-    def test_rejects_single_draw(self):
-        with pytest.raises(DomainError):
-            survival_log_exact(365, 1)
-
-    def test_rejects_population_beyond_space(self):
-        with pytest.raises(DomainError):
-            survival_log_exact(10, 11)
-
     def test_fractional_space_accepts_extra_draw(self):
         # 11 draws from 10.5 "values" still leaves every factor positive
-        v = survival_log_exact(10.5, 11)
+        v = collision_probability(10.5, 11, "exact").log_survival
         assert math.isfinite(v) and v < -10
 
 
@@ -318,13 +305,13 @@ class TestSurvivalLogSeries:
     def test_two_draws_is_mercator(self):
         # p = 2 reduces the series to -sum 1/(k t^k), the expansion of log(1 - 1/t)
         t = 1e6
-        v, bound = survival_log_series(t, 2, order=30)
+        v, bound = _series_scan(t, 2, 30)[:2]
         assert v == pytest.approx(math.log1p(-1 / t), rel=1e-15)
         assert bound < 1e-180
 
     def test_agrees_with_exact_within_bound(self):
-        v_exact = survival_log_exact(365, 23)
-        v_series, bound = survival_log_series(365, 23, order=6)
+        v_exact = collision_probability(365, 23, "exact").log_survival
+        v_series, bound = _series_scan(365.0, 23, 6)[:2]
         assert abs(v_series - v_exact) <= bound
         assert bound < 1e-8
 
@@ -334,63 +321,69 @@ class TestSurvivalLogSeries:
         term1 = pair_count(p) / galton_space
         assert term1 == pytest.approx(1.5933539646066492, abs=1e-12)
         assert -math.expm1(-term1) == pytest.approx(0.7968, abs=5e-4)
-        v, _ = survival_log_series(galton_space, p, order=2)
+        v = collision_probability(galton_space, p, "series", order=2).log_survival
         assert v == pytest.approx(-term1, rel=1e-5)
 
     def test_bound_is_honest_against_oracle(self):
         for t, p in ((1e4, 400), (1e6, 2000), (3e7, 10_000), (1e10, 300_000)):
-            v, bound = survival_log_series(t, p, 6)
+            v, bound = _series_scan(t, p, 6)[:2]
             truth = fsum_survival_log(t, p)
             assert abs(v - truth) <= bound + 1e-13 * (1 + abs(truth))
 
     def test_log_space_fallback_for_huge_powers(self):
         # t^k overflows a double from k = 16 here; the term switches to logs
         t = 1e20
-        v, bound = survival_log_series(t, 10**6, order=40)
+        v, bound = _series_scan(t, 10**6, 40)[:2]
         assert v == pytest.approx(fsum_survival_log(t, 10**6), rel=1e-12)
         assert bound >= 0.0
 
+    def test_log_space_term_of_a_small_power_sum(self):
+        # p = 2 gives S_k(1) = 1, and k ln t passes the direct form's 690 from k = 10,
+        # so terms 10..13 take the log of a one-bit integer; frozen as first computed
+        r = collision_probability(1e30, 2, "series", order=12)
+        assert r.log_survival.hex() == "-0x1.4484bfeebc29fp-100"
+        assert abs(r.log_survival - math.log1p(-1e-30)) <= r.abs_error_bound
+
     def test_refuses_uncertified_ratio(self):
         with pytest.raises(SeriesBoundError):
-            survival_log_series(100, 51, order=6)
+            collision_probability(100, 51, "series", order=6)
 
     @pytest.mark.parametrize("p", [10**400, 2**1024], ids=["1e400", "2**1024"])
     def test_refuses_population_beyond_float_range(self, p):
         # float(p) overflows, so p/t has no float value to report
         with pytest.raises(SeriesBoundError) as err:
-            survival_log_series(1e30, p, 3)
+            _series_scan(1e30, p, 3)
         assert "inf" not in str(err.value)
 
     def test_order_validation(self):
         with pytest.raises(DomainError):
-            survival_log_series(365, 23, order=1)
+            collision_probability(365, 23, "series", order=1)
         with pytest.raises(DomainError):
-            survival_log_series(365, 23, order=-2)
+            collision_probability(365, 23, "series", order=-2)
 
     def test_order_above_the_cap_is_refused(self):
-        # the power-sum cache holds two scans at order 512; past it the
-        # scan would thrash the cache and take seconds per call
-        assert survival_log_series(1e12, 10**6, 512)[0] < 0.0
+        # the cap bounds the Pascal rows memoised for the process's life:
+        # about 5 MB once a scan at order 512 has built rows up to 514
+        assert collision_probability(1e12, 10**6, "series", order=512).log_survival < 0.0
         with pytest.raises(DomainError, match="at most 512, got 513"):
-            survival_log_series(1e12, 10**6, 513)
-        with pytest.raises(DomainError, match="at most 512"):
             collision_probability(1e12, 10**6, "series", order=513)
 
     def test_trivial_population(self):
-        assert survival_log_series(365, 1, order=4) == (0.0, 0.0)
-        assert survival_log_series(365, 0, order=4) == (0.0, 0.0)
+        for p in (0, 1):
+            r = collision_probability(365, p, "series", order=4)
+            assert (r.probability, r.log_survival, r.abs_error_bound) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("t, p", [(2, 1), (1, 1), (1.5, 1)])
     def test_trivial_population_needs_no_ratio_check(self, t, p):
         # p/t >= 1/2 here, but fewer than two draws never repeat
-        assert survival_log_series(t, p, order=2) == (0.0, 0.0)
+        assert collision_probability(t, p, "series", order=2).log_survival == 0.0
 
     @pytest.mark.parametrize("t, p, k", [
         (365, 23, 6), (2**36, 467_963, 2), (2**47, 14_000_000, 3), (1e20, 10**6, 40),
     ])
     def test_same_value_as_collision_probability(self, t, p, k):
-        # both public entry points run the same scan, bit for bit
-        v, _ = survival_log_series(t, p, k)
+        # the kernel tests above speak for the public answer: it is the scan's value, bit for bit
+        v = _series_scan(float(t), p, k)[0]
         r = collision_probability(t, p, "series", order=k)
         assert v.hex() == r.log_survival.hex()
 
@@ -518,7 +511,11 @@ class TestCollisionProbability:
         r = collision_probability(galton_space, 1000, "series", order=12)
         assert r.abs_error_bound > 0.0
 
-    @pytest.mark.parametrize("bad", [-1, 2.5, float("nan"), "23"])
+    def test_whole_float_population_is_the_int_answer(self):
+        a, b = collision_probability(365, 23.0), collision_probability(365, 23)
+        assert a.log_survival.hex() == b.log_survival.hex() and a == b
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, float("nan"), "23", True])
     def test_rejects_bad_population(self, bad):
         with pytest.raises(DomainError):
             collision_probability(365, bad)

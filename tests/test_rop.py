@@ -8,7 +8,6 @@ two-decimal rounding boundary: 0.0046 percentage points).
 
 import csv
 import dataclasses
-import importlib
 import io
 import math
 import random
@@ -18,6 +17,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ropcalc
+import ropcalc.rop as rop_module
 from ropcalc import (
     DomainError,
     GaltonModel,
@@ -31,7 +32,6 @@ from ropcalc import (
     load_bundled_cities,
     load_populations,
     parse_populations,
-    rop,
     rop_table,
     space_size,
 )
@@ -66,9 +66,6 @@ CITY_GOLDENS = [
 
 # The model spaces tables are shown over: Galton, regions, 1e12 and 2^64.
 TABLE_SPACES = (2**36, 2**47, 10**12, 2**64)
-
-# The package re-exports a function named rop, which hides the module.
-rop_module = importlib.import_module("ropcalc.rop")
 
 
 class TestModels:
@@ -141,10 +138,6 @@ class TestRopTable:
         assert entry.display == "79.68%"
         assert entry.result.probability == pytest.approx(0.7967579369294363, abs=1e-10)
 
-    def test_rop_is_forward_evaluation(self, galton_space):
-        r = rop(10**6, galton_space)
-        assert r.probability == pytest.approx(0.9993080422308641, abs=1e-12)
-
     def test_region_space_shrinks_the_odds(self):
         # 2^47 possibilities push the Miami row down to a twelfth of a percent
         [entry] = rop_table([PopulationRecord("Miami", 467_963)], space_size(RegionModel()))
@@ -189,6 +182,14 @@ class TestRopTable:
         for space, table in zip(TABLE_SPACES, tables):
             for entry in table:
                 assert entry.result == collision_probability(space, entry.record.population)
+
+    def test_the_module_is_reachable_by_its_name(self):
+        # the package binds nothing else to the submodule's name, so the
+        # import statement, the package attribute and sys.modules agree
+        import ropcalc.rop as m
+
+        assert m is sys.modules["ropcalc.rop"] and ropcalc.rop is m
+        assert m.parse_populations is parse_populations
 
     def test_record_errors_name_the_record(self):
         from ropcalc import IterationBudgetError

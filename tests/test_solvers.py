@@ -70,6 +70,15 @@ class TestSolveTarget:
         with pytest.raises(DomainError):
             SolveTarget(bad)
 
+    @pytest.mark.parametrize("solve", [solve_population, solve_space],
+                             ids=["population", "space"])
+    @pytest.mark.parametrize("bad", ["0.5", True, 10**400, -(10**400)],
+                             ids=["str", "bool", "1e400", "-1e400"])
+    def test_solvers_refuse_a_target_that_is_not_a_probability(self, solve, bad):
+        # an int past the float range is refused before float() could overflow
+        with pytest.raises(DomainError):
+            solve(365, bad)
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(DomainError):
             SolveTarget(0.5, tolerance=0.0)
@@ -116,6 +125,10 @@ class TestSolvePopulation:
         # any target is met by p = 2 when the space is a single value... but
         # space 1 is degenerate, so use a tiny space and huge target instead
         assert solve_population(2, SolveTarget(0.49)) == 2
+
+    def test_rejects_space_below_two(self):
+        with pytest.raises(DomainError, match="at least 2 values"):
+            solve_population(1.5, 0.5)
 
     def test_tiny_target_still_needs_two(self):
         assert solve_population(365, SolveTarget(1e-12)) == 2
@@ -340,7 +353,8 @@ class TestWorldOverlap:
         sizes = [space_for_world_overlap(x).value for x in (5, 25, 50, 75, 95)]
         assert sizes == sorted(sizes, reverse=True)
 
-    @pytest.mark.parametrize("bad", [0, 100, -3, 101.0, float("nan")])
+    @pytest.mark.parametrize("bad", [0, 100, -3, 101.0, float("nan"), "50", 10**400, -(10**400)],
+                             ids=["0", "100", "-3", "101.0", "nan", "str-50", "1e400", "-1e400"])
     def test_rejects_degenerate_percent(self, bad):
         with pytest.raises(DomainError):
             space_for_world_overlap(bad)
