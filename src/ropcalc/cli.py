@@ -16,16 +16,9 @@ import math
 import re
 import sys
 
-from .collision import (
-    AUTO,
-    DomainError,
-    IterationBudgetError,
-    as_space_size,
-    collision_probability,
-)
+from .collision import AUTO, DomainError, _power, as_space_size, collision_probability
 from .rop import (
     BUNDLED_DATASETS,
-    IngestError,
     format_percent,
     load_bundled_cities,
     load_populations,
@@ -61,13 +54,7 @@ def parse_space_expr(text: str):
     m = _POWER.fullmatch(expr)
     try:
         if m:
-            base = int(_strip_groups(m.group("base")))
-            exp = int(_strip_groups(m.group("exp")))
-            # base**exp has at most exp * bit_length(base) bits: refuse a huge power
-            # before forming it; up to 2^16 bits the 1e30 range check names its size
-            if exp > 4096 or exp * base.bit_length() > 1 << 16:
-                raise ValueError("exponent too large" if exp > 4096 else "power too large")
-            return base**exp
+            return _power(int(_strip_groups(m.group("base"))), int(_strip_groups(m.group("exp"))))
         if _GROUPED_INT.fullmatch(expr):
             return int(_strip_groups(expr))
         return float(expr)
@@ -300,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (DomainError, IngestError, IterationBudgetError, OSError) as err:
+    except (DomainError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return _DOMAIN_EXIT
     return 0

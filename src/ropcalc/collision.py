@@ -21,8 +21,10 @@ trillions, so everything is evaluated through the log of the survival
 "auto", the default, picks between them by cost.
 
 Both routes use fixed partitioning and a fixed reduction order, so results
-are reproducible bit for bit from run to run.  All public functions are
-pure and safe for concurrent use.
+are reproducible bit for bit from run to run on one platform.  Across
+platforms the exact route's bits depend on numpy's SIMD dispatch level and
+on libm, the series route's on libm only.  All public functions are pure
+and safe for concurrent use.
 """
 
 import functools
@@ -100,10 +102,10 @@ AUTO = "auto"
 
 
 class DomainError(ValueError):
-    """An argument fell outside the supported domain."""
+    """Every ropcalc refusal: an argument, model or table that ropcalc does not answer for."""
 
 
-class IterationBudgetError(RuntimeError):
+class IterationBudgetError(DomainError, RuntimeError):
     """The exact product would need more factors than the budget allows."""
 
 
@@ -134,11 +136,20 @@ def as_space_size(t) -> SpaceSize:
     if isinstance(t, bool):
         raise DomainError("space size must be a number, not bool")
     if isinstance(t, int):
-        if t > int(MAX_SPACE):  # exactly: float(t) could round down to 1e30
+        if abs(t) > int(MAX_SPACE):  # exactly: float(t) could round down to 1e30, or overflow
             raise DomainError(f"space size of {t.bit_length()} bits exceeds the supported maximum 1e30")
     elif not isinstance(t, float):
         raise DomainError(f"space size must be int, float, or SpaceSize, got {type(t).__name__}")
     return SpaceSize(float(t))
+
+
+def _power(base: int, exp: int) -> int:
+    """base**exp in exact integers, refused before it is formed when exp > 4096 or it
+    could pass 2**16 bits (it has at most exp * bit_length(base)); below that, the 1e30
+    range check names its size."""
+    if exp > 4096 or exp * base.bit_length() > 1 << 16:
+        raise DomainError("exponent too large" if exp > 4096 else "power too large")
+    return base**exp
 
 
 def _as_count(p, what="population") -> int:
@@ -245,12 +256,9 @@ def _survival_log_product(t: float, p: int) -> float:
 
 @functools.cache
 def _pascal(n: int) -> tuple:
-    """C(n, 0..n): C(n, i + 1) = C(n, i) (n - i) / (i + 1), exactly, to the middle, then
-    mirrored.  A pure function of n, so threads that race to build a row store equal rows."""
-    half = [1]
-    for i in range(n // 2):
-        half.append(half[-1] * (n - i) // (i + 1))
-    return (*half, *reversed(half[: (n + 1) // 2]))
+    """C(n, 0..n), exactly.  A pure function of n, so threads that race to build a row
+    store equal rows."""
+    return tuple(map(math.comb, itertools.repeat(n), range(n + 1)))
 
 
 def _power_sums(m: int):
@@ -322,13 +330,10 @@ def _series_scan(t: float, p: int, order=None):
     ~45 orders for p/t < 1/2, usually 2 to 4.  Returns (value, tail, k),
     the log-survival estimate, its truncation bound, and the order.
     """
-    try:
-        ratio = p / t
-    except OverflowError:  # p is beyond float range, so p/t is far above 1/2
-        ratio = math.inf
+    ratio = p / t  # finite: the caller settles p - 1 >= t first
     if ratio >= _SERIES_MAX_RATIO:
-        shown = f"p/t = {ratio:.3g} >= 1/2" if ratio < math.inf else "p beyond float range"
-        raise SeriesBoundError(f"series bound is not certified for {shown}; use the exact method")
+        raise SeriesBoundError(f"series bound is not certified for p/t = {ratio:.3g} >= 1/2; "
+                               "use the exact method")
     log_t = math.log(t)
     geom = 1.0 / (1.0 - ratio)
     sums = _power_sums(p - 1)
@@ -364,6 +369,7 @@ def collision_probability(
     """
     space = as_space_size(t)
     p = _as_count(p)
+    exact_budget = _as_count(exact_budget, "exact budget")
     if method not in (EXACT, SERIES, AUTO):
         raise DomainError(f"method must be one of exact/series/auto, got {method!r}")
     if order is not None:

@@ -29,9 +29,9 @@ from importlib import resources
 from .collision import (
     DomainError,
     EvalResult,
-    IterationBudgetError,
     SpaceSize,
     _frozen,
+    _power,
     as_space_size,
     collision_probability,
 )
@@ -67,7 +67,7 @@ _GROUPED_INT = re.compile(r"\+?\d[\d,_ ]*")
 _DROP_SEPARATORS = str.maketrans("", "", ",_ +")
 
 
-class IngestError(ValueError):
+class IngestError(DomainError):
     """A population table could not be parsed; message lists row numbers."""
 
 
@@ -105,16 +105,17 @@ class RegionModel:
 def space_size(model) -> SpaceSize:
     """Distinct-pattern count implied by a decomposition model.
 
-    The power is computed in exact integer arithmetic first; models whose
-    pattern count exceeds the supported 1e30 space maximum are rejected.
+    The power is computed in exact integer arithmetic, after the size check the
+    CLI's power form gets; models whose pattern count exceeds the supported 1e30
+    space maximum are rejected.
     """
     if isinstance(model, GaltonModel):
         exponent = (
             model.unit_squares + model.ridge_entry_exit_bits + model.adjacent_course_bits
         )
-        exact = 2**exponent
+        exact = _power(2, exponent)
     elif isinstance(model, RegionModel):
-        exact = model.choices_per_region**model.independent_regions
+        exact = _power(model.choices_per_region, model.independent_regions)
     else:
         raise DomainError(
             f"model must be GaltonModel or RegionModel, got {type(model).__name__}"
@@ -172,7 +173,7 @@ def rop_table(records, space) -> "list[RopEntry]":
         try:
             # the module-level name, so a caller that rebinds it sees every row
             result = collision_probability(space, rec.population)
-        except (DomainError, IterationBudgetError) as err:
+        except DomainError as err:
             raise type(err)(f"record '{rec.name}': {err}") from err
         out.append(_frozen(RopEntry, {"record": rec, "result": result,
                                       "display": format_percent(result.probability)}))

@@ -8,6 +8,7 @@ brute force) and are frozen here as literals.
 import dataclasses
 import itertools
 import math
+import os
 import random
 import subprocess
 import sys
@@ -15,10 +16,12 @@ import threading
 
 import pytest
 
+import ropcalc
 from ropcalc import (
     DomainError,
     EvalResult,
     GaltonModel,
+    IngestError,
     IterationBudgetError,
     SeriesBoundError,
     SpaceSize,
@@ -97,7 +100,7 @@ class TestSpaceSize:
         assert_same_space(as_space_size(10.5), 10.5)
 
     @pytest.mark.parametrize("bad", [0, 0.5, -3, float("nan"), float("inf"), 2e30, 10**31,
-                                     int(1e30) + 1])
+                                     int(1e30) + 1, -10**400])
     def test_rejected_values(self, bad):
         with pytest.raises(DomainError):
             as_space_size(bad)
@@ -171,6 +174,11 @@ class TestSurvivalLogExact:
         a = collision_probability(2**36, 123_457, "exact")
         b = collision_probability(2**36, 123_457, "exact")
         assert a.log_survival.hex() == b.log_survival.hex()
+
+    @pytest.mark.parametrize("budget", [None, "5", True, -1, 1j])
+    def test_rejects_bad_budget(self, budget):
+        with pytest.raises(DomainError, match="^exact budget must be"):
+            collision_probability(365, 23, exact_budget=budget)
 
     def test_budget_error_mentions_series(self):
         with pytest.raises(IterationBudgetError, match="series"):
@@ -347,13 +355,6 @@ class TestSurvivalLogSeries:
     def test_refuses_uncertified_ratio(self):
         with pytest.raises(SeriesBoundError):
             collision_probability(100, 51, "series", order=6)
-
-    @pytest.mark.parametrize("p", [10**400, 2**1024], ids=["1e400", "2**1024"])
-    def test_refuses_population_beyond_float_range(self, p):
-        # float(p) overflows, so p/t has no float value to report
-        with pytest.raises(SeriesBoundError) as err:
-            _series_scan(1e30, p, 3)
-        assert "inf" not in str(err.value)
 
     def test_order_validation(self):
         with pytest.raises(DomainError):
@@ -639,9 +640,12 @@ class TestAutoCrossover:
         assert r.log_survival.hex() == collision_probability(t, p, "exact").log_survival.hex()
 
     def test_series_over_a_budget_below_the_switch(self):
-        r = collision_probability(1e6, 5000, exact_budget=1000)
-        assert r.method == "series"
-        truth = fsum_survival_log(1e6, 5000)
+        # auto keeps this product at the default budget; a budget below its
+        # 1199 factors sends it to the series
+        assert collision_probability(1e5, 1200).method == "exact"
+        r = collision_probability(1e5, 1200, exact_budget=1000)
+        assert (r.method, r.order) == ("series", 7)
+        truth = fsum_survival_log(1e5, 1200)
         assert abs(r.log_survival - truth) <= 1e-12 * abs(truth)
 
     @pytest.mark.parametrize("t", [4e4, 1e5, 10**6, 2**24, 1e7, 1.6e8])
@@ -685,3 +689,39 @@ def test_numpy_loads_on_the_first_exact_call():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_every_refusal_is_a_domain_error():
+    for cls in (IterationBudgetError, IngestError, SeriesBoundError):
+        assert issubclass(cls, DomainError), cls
+    assert issubclass(IterationBudgetError, RuntimeError)  # `except RuntimeError` still catches it
+
+
+def test_exact_bits_do_not_depend_on_numpy_simd_dispatch():
+    # numpy's AVX512 log1p loop can differ from its baseline loop in the last
+    # bit, so a child with that dispatch level off must give the same hexes;
+    # it imports the ropcalc under test, installed or not
+    cases = [(t, p) for p, t, _ in TestSurvivalLogExact.EXACT_MULTI_BLOCK] + [(365, 23)]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.dirname(os.path.dirname(ropcalc.__file__))!r})\n"
+        "try:\n"
+        "    import numpy\n"
+        "except Exception:\n"
+        "    sys.exit(77)\n"
+        "import ropcalc\n"
+        "print(ropcalc.__file__)\n"
+        f"for t, p in {cases!r}:\n"
+        "    r = ropcalc.collision_probability(t, p, 'exact')\n"
+        "    print(r.probability.hex(), r.log_survival.hex())\n"
+    )
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    if out.returncode == 77:
+        pytest.skip("numpy does not import with X86_V4 disabled")
+    assert out.returncode == 0, out.stderr
+    path, *lines = out.stdout.splitlines()
+    assert path == ropcalc.__file__
+    for (t, p), line in zip(cases, lines, strict=True):
+        r = collision_probability(t, p, "exact")
+        assert line == f"{r.probability.hex()} {r.log_survival.hex()}", (t, p)

@@ -12,6 +12,7 @@ import io
 import math
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -92,6 +93,19 @@ class TestModels:
         # 2^100 > the 1e30 ceiling
         with pytest.raises(DomainError):
             space_size(RegionModel(100, 2))
+
+    @pytest.mark.parametrize("model, message", [
+        (RegionModel(10**6, 3), "exponent too large"),
+        (RegionModel(10**7, 3), "exponent too large"),
+        (GaltonModel(unit_squares=10**6), "exponent too large"),
+        (RegionModel(4096, 2**17), "power too large"),
+    ])
+    def test_huge_power_is_refused_before_it_is_formed(self, model, message):
+        # as the CLI refuses -t 3^10000000; forming 3**10**7 first took ~5 s
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            space_size(model)
+        assert time.perf_counter() - start < 0.5
 
     def test_large_model_within_ceiling(self):
         assert space_size(RegionModel(99, 2)).value == 2.0**99
