@@ -16,8 +16,9 @@ import math
 import re
 import sys
 
-from .collision import AUTO, DomainError, _power, as_space_size, collision_probability
+from .collision import AUTO, DomainError, _as_count, _power, as_space_size, collision_probability
 from .rop import (
+    _DROP_SEPARATORS,
     BUNDLED_DATASETS,
     format_percent,
     load_bundled_cities,
@@ -35,10 +36,6 @@ _POWER = re.compile(rf"(?P<base>{_INT})\^(?P<exp>{_INT})")
 _DOMAIN_EXIT = 3
 
 
-def _strip_groups(text: str) -> str:
-    return re.sub(r"[,_ ]", "", text)
-
-
 def parse_space_expr(text: str):
     """Parse a space-size expression into a number (int or float).
 
@@ -54,9 +51,9 @@ def parse_space_expr(text: str):
     m = _POWER.fullmatch(expr)
     try:
         if m:
-            return _power(int(_strip_groups(m.group("base"))), int(_strip_groups(m.group("exp"))))
+            return _power(*(int(m[g].translate(_DROP_SEPARATORS)) for g in ("base", "exp")))
         if _GROUPED_INT.fullmatch(expr):
-            return int(_strip_groups(expr))
+            return int(expr.translate(_DROP_SEPARATORS))
         return float(expr)
     except (ValueError, OverflowError) as err:
         raise ValueError(f"bad space size {text!r}: {err}") from None
@@ -67,13 +64,10 @@ def parse_count_expr(text: str) -> int:
     expr = text.strip()
     try:
         if _GROUPED_INT.fullmatch(expr):
-            return int(_strip_groups(expr))
-        value = float(expr)
-    except ValueError:
-        raise ValueError(f"bad count {text!r}") from None
-    if not (math.isfinite(value) and value >= 0 and value.is_integer()):
-        raise ValueError(f"bad count {text!r}: must be a non-negative whole number")
-    return int(value)
+            return int(expr.translate(_DROP_SEPARATORS))
+        return _as_count(float(expr), "a count")
+    except ValueError as err:  # a DomainError too
+        raise ValueError(f"bad count {text!r}: {err}") from None
 
 
 def _arg_type(parse):
@@ -187,10 +181,8 @@ def _cmd_rop_table(args):
 
 def _cmd_curve(args):
     space = as_space_size(args.space)
-    if args.samples < 2:
-        raise DomainError(f"need at least 2 samples, got {args.samples}")
-    if args.p_max < 1:
-        raise DomainError(f"--p-max must be at least 1, got {args.p_max}")
+    _as_count(args.samples, "--samples", 2)
+    _as_count(args.p_max, "--p-max", 1)
     try:
         float(args.p_max)  # the samples are spaced in floats, up to p_max itself
     except OverflowError:

@@ -30,6 +30,7 @@ and safe for concurrent use.
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from operator import mul
 
@@ -130,16 +131,17 @@ class SpaceSize:
 
 
 def as_space_size(t) -> SpaceSize:
-    """Coerce an int, float, or SpaceSize into a validated SpaceSize."""
+    """Coerce an int (numpy's too), float, or SpaceSize into a validated SpaceSize."""
     if isinstance(t, SpaceSize):
         return t
     if isinstance(t, bool):
         raise DomainError("space size must be a number, not bool")
-    if isinstance(t, int):
-        if abs(t) > int(MAX_SPACE):  # exactly: float(t) could round down to 1e30, or overflow
-            raise DomainError(f"space size of {t.bit_length()} bits exceeds the supported maximum 1e30")
-    elif not isinstance(t, float):
-        raise DomainError(f"space size must be int, float, or SpaceSize, got {type(t).__name__}")
+    if not isinstance(t, (int, float)):
+        if not isinstance(t, numbers.Integral):
+            raise DomainError(f"space size must be int, float, or SpaceSize, got {type(t).__name__}")
+        t = int(t)
+    if isinstance(t, int) and abs(t) > int(MAX_SPACE):  # exactly: float(t) may round to 1e30, or overflow
+        raise DomainError(f"space size of {t.bit_length()} bits exceeds the supported maximum 1e30")
     return SpaceSize(float(t))
 
 
@@ -152,20 +154,25 @@ def _power(base: int, exp: int) -> int:
     return base**exp
 
 
-def _as_count(p, what="population") -> int:
-    """Validate a non-negative whole number of draws."""
-    if isinstance(p, bool):
-        raise DomainError(f"{what} must be a whole number, not bool")
-    if isinstance(p, int):
-        n = p
-    elif isinstance(p, float):
-        if not (math.isfinite(p) and p.is_integer()):
-            raise DomainError(f"{what} must be a whole number, got {p!r}")
-        n = int(p)
+def _shown(value) -> str:
+    """How a message shows a refused value: by its repr, or by its size for an int past every float."""
+    if isinstance(value, int) and value.bit_length() > 1024:  # str() refuses over 4300 digits
+        return f"an int of {value.bit_length()} bits"
+    return repr(value)
+
+
+def _as_count(value, what="population", low=0) -> int:
+    """Read a count: an int, a float with no fraction or another integral number (numpy's
+    integers), at least ``low``, as an int.  A bool is no count."""
+    if type(value) is int:
+        n = value
+    elif (value.is_integer() if isinstance(value, float)  # nan and inf are not
+          else isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        n = int(value)
     else:
-        raise DomainError(f"{what} must be a whole number, got {type(p).__name__}")
-    if n < 0:
-        raise DomainError(f"{what} must be >= 0, got {n}")
+        raise DomainError(f"{what} must be a whole number, got {_shown(value)}")
+    if n < low:
+        raise DomainError(f"{what} must be >= {low}, got {_shown(n)}")
     return n
 
 
@@ -295,13 +302,6 @@ def _series_term(s: int, k: int, t: float, log_t: float) -> float:
     return math.exp(_log_int(s) - math.log(k) - k * log_t)
 
 
-def _check_order(order) -> None:
-    if not isinstance(order, int) or isinstance(order, bool) or order < 2:
-        raise DomainError(f"series order must be an integer >= 2, got {order!r}")
-    if order > _MAX_ORDER:
-        raise DomainError(f"series order must be at most {_MAX_ORDER}, got {order}")
-
-
 def _prob_bound(v: float, tail: float) -> float:
     """Absolute probability-error bound for a log-survival estimate v.
 
@@ -371,11 +371,12 @@ def collision_probability(
     p = _as_count(p)
     exact_budget = _as_count(exact_budget, "exact budget")
     if method not in (EXACT, SERIES, AUTO):
-        raise DomainError(f"method must be one of exact/series/auto, got {method!r}")
+        raise DomainError(f"method must be one of exact/series/auto, got {_shown(method)}")
     if order is not None:
         if method != SERIES:
             raise DomainError("order only applies to the series method")
-        _check_order(order)
+        if (order := _as_count(order, "series order", 2)) > _MAX_ORDER:
+            raise DomainError(f"series order must be at most {_MAX_ORDER}, got {_shown(order)}")
 
     if p <= 1:
         return _result_from_log(0.0, EXACT, 0.0)

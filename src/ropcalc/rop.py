@@ -20,16 +20,16 @@ declared canonical.
 
 import csv
 import io
-import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .collision import (
     DomainError,
     EvalResult,
     SpaceSize,
+    _as_count,
     _frozen,
     _power,
     as_space_size,
@@ -71,35 +71,31 @@ class IngestError(DomainError):
     """A population table could not be parsed; message lists row numbers."""
 
 
-def _positive_int(value, name):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+def _read_counts(model):
+    """A model's ``__post_init__``: each field is read by ``_as_count`` as an int of at least 1."""
+    for field in fields(model):
+        object.__setattr__(model, field.name, _as_count(getattr(model, field.name), field.name, 1))
 
 
 @dataclass(frozen=True)
 class GaltonModel:
-    """Galton's three-part bit budget for a full fingerprint."""
+    """Galton's three-part bit budget for a full fingerprint; each field a count >= 1, kept as an int."""
 
     unit_squares: int = 24
     ridge_entry_exit_bits: int = 8
     adjacent_course_bits: int = 4
 
-    def __post_init__(self):
-        _positive_int(self.unit_squares, "unit_squares")
-        _positive_int(self.ridge_entry_exit_bits, "ridge_entry_exit_bits")
-        _positive_int(self.adjacent_course_bits, "adjacent_course_bits")
+    __post_init__ = _read_counts
 
 
 @dataclass(frozen=True)
 class RegionModel:
-    """Independent regions with a fixed number of readings each."""
+    """Independent regions with a fixed number of readings each; fields as in GaltonModel."""
 
     independent_regions: int = 47
     choices_per_region: int = 2
 
-    def __post_init__(self):
-        _positive_int(self.independent_regions, "independent_regions")
-        _positive_int(self.choices_per_region, "choices_per_region")
+    __post_init__ = _read_counts
 
 
 def space_size(model) -> SpaceSize:
@@ -125,7 +121,7 @@ def space_size(model) -> SpaceSize:
 
 @dataclass(frozen=True)
 class PopulationRecord:
-    """One named group and its head count."""
+    """One named group and its head count, a count >= 0 kept as an int."""
 
     name: str
     population: int
@@ -133,10 +129,7 @@ class PopulationRecord:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name.strip():
             raise DomainError("record name must be a non-empty string")
-        if isinstance(self.population, bool) or not isinstance(self.population, int):
-            raise DomainError(f"population must be an integer, got {self.population!r}")
-        if self.population < 0:
-            raise DomainError(f"population must be >= 0, got {self.population}")
+        object.__setattr__(self, "population", _as_count(self.population))
 
 
 @dataclass(frozen=True)
@@ -289,15 +282,17 @@ def load_populations(source, *, delimiter=None) -> "list[PopulationRecord]":
 
 def dump_populations(records) -> str:
     """Serialize records to normalized CSV (plain digits, comma-separated) that
-    ``parse_populations`` reads back: a name led by '#' is quoted, so its row is no comment,
-    and a name holding a line boundary is refused with DomainError."""
+    ``parse_populations`` reads back: a name led by '#' is quoted, so its row is no comment;
+    a name holding a line boundary, or an item that is no PopulationRecord, is a DomainError."""
     buf = io.StringIO()
     plain = csv.writer(buf, lineterminator="\n")
     quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
     plain.writerow(["name", "population"])
     for rec in records:
+        if not isinstance(rec, PopulationRecord):
+            raise DomainError(f"expected PopulationRecord, got {type(rec).__name__}")
         if rec.name.splitlines() != [rec.name]:
-            raise DomainError(f"{rec!r}: a name with a line break cannot be one table row")
+            raise DomainError(f"record {rec.name!r}: a name with a line break cannot be one table row")
         (quoted if rec.name.lstrip()[:1] == "#" else plain).writerow([rec.name, rec.population])
     return buf.getvalue()
 

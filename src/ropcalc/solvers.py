@@ -14,7 +14,7 @@ specializes the second question to the whole world population.
 """
 
 import math
-import sys
+import numbers
 from dataclasses import dataclass
 
 from .collision import (
@@ -23,6 +23,7 @@ from .collision import (
     SpaceSize,
     as_space_size,
     _as_count,
+    _shown,
     collision_probability,
     pair_count,
 )
@@ -39,35 +40,33 @@ __all__ = [
 DEFAULT_WORLD_POPULATION = 8_200_000_000
 
 
+def _as_share(value, what, whole=1.0) -> float:
+    """Read a probability (``whole`` 1) or percent (100): a float or integral number (numpy's too, not
+    bool) strictly between 0 and ``whole``, an int compared exactly, as the float ``value / whole``."""
+    if isinstance(value, (float, numbers.Integral)) and not isinstance(value, bool) and 0 < value < whole:
+        return float(value) / whole
+    raise DomainError(f"{what} must be a number strictly between 0 and {whole:g}, got {_shown(value)}")
+
+
 @dataclass(frozen=True)
 class SolveTarget:
     """A collision probability to hit, with a solver tolerance.
 
-    ``tolerance`` is relative on the space size for space solves (the
-    attained probability then sits well within the same tolerance of the
-    target); population solves return an exact integer threshold and only
-    use the target itself.
+    Both are read by ``_as_share`` as floats inside (0, 1).  ``tolerance`` is relative on the
+    space size for space solves (the attained probability then sits well within it of the
+    target); population solves return an exact integer threshold and only use the target.
     """
 
     target_prob: float
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        x = self.target_prob
-        if not isinstance(x, float) or not math.isfinite(x) or not 0.0 < x < 1.0:
-            raise DomainError(f"target probability must be strictly inside (0, 1), got {x!r}")
-        if not (isinstance(self.tolerance, float) and 0.0 < self.tolerance < 1.0):
-            raise DomainError(f"tolerance must be a float in (0, 1), got {self.tolerance!r}")
+        object.__setattr__(self, "target_prob", _as_share(self.target_prob, "target probability"))
+        object.__setattr__(self, "tolerance", _as_share(self.tolerance, "tolerance"))
 
 
 def _as_target(target) -> SolveTarget:
-    if isinstance(target, SolveTarget):
-        return target
-    if isinstance(target, int) and abs(target) > sys.float_info.max:  # exactly: float() would overflow
-        raise DomainError(f"target must be inside (0, 1), got an int of {target.bit_length()} bits")
-    if isinstance(target, (int, float)) and not isinstance(target, bool):
-        return SolveTarget(float(target))
-    raise DomainError(f"target must be a number or SolveTarget, got {type(target).__name__}")
+    return target if isinstance(target, SolveTarget) else SolveTarget(target)
 
 
 def _prob(t, p) -> float:
@@ -152,9 +151,7 @@ def solve_space(p, target) -> SpaceSize:
     probing every one.  Raises DomainError when even a space of 1e30 leaves the probability
     above the target.
     """
-    p = _as_count(p)
-    if p < 2:
-        raise DomainError(f"space solves need at least 2 draws, got {p}")
+    p = _as_count(p, low=2)
     goal = _as_target(target)
     x = goal.target_prob
 
@@ -169,7 +166,7 @@ def solve_space(p, target) -> SpaceSize:
     hi = min(max(4.0 * t0, t0 + (p - 1)), MAX_SPACE) if t0 <= MAX_SPACE else MAX_SPACE
     if t0 > MAX_SPACE or hi == MAX_SPACE and _prob(hi, p) > x:
         raise DomainError(
-            f"population {p} repeats with probability above {x!r} even in a space "
+            f"population {_shown(p)} repeats with probability above {x!r} even in a space "
             "of 1e30, the supported maximum"
         )
     # secant probes from t0, then two at r(1 -+ w) around their root r (w is an ulp at least,
@@ -198,10 +195,4 @@ def space_for_world_overlap(percent, world_population: int = DEFAULT_WORLD_POPUL
     ``percent`` is in (0, 100).  Smaller percents demand larger spaces, so
     the result is strictly decreasing in ``percent``.
     """
-    if isinstance(percent, bool) or not isinstance(percent, (int, float)):
-        raise DomainError(f"percent must be a number, got {type(percent).__name__}")
-    if isinstance(percent, int) and abs(percent) > sys.float_info.max:  # exactly: float() would overflow
-        raise DomainError(f"percent must be inside (0, 100), got an int of {percent.bit_length()} bits")
-    if not 0.0 < float(percent) < 100.0:
-        raise DomainError(f"percent must be strictly between 0 and 100, got {percent!r}")
-    return solve_space(world_population, float(percent) / 100.0)
+    return solve_space(world_population, _as_share(percent, "percent", 100.0))

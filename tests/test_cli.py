@@ -299,10 +299,12 @@ class TestCurve:
         code, out, err = run(capsys, "curve", "-t", "1e30", "--p-max", "9" * 400, "--samples", "3")
         assert code == 3 and out == "" and err.startswith("error: --p-max") and "float" in err
 
-    @pytest.mark.parametrize("samples, p_max", [("1", "30"), ("3", "0")], ids=["samples-1", "p-max-0"])
-    def test_degenerate_sampling_is_three(self, capsys, samples, p_max):
+    @pytest.mark.parametrize("samples, p_max, refusal", [
+        ("1", "30", "--samples must be >= 2, got 1"), ("3", "0", "--p-max must be >= 1, got 0"),
+    ], ids=["samples-1", "p-max-0"])
+    def test_degenerate_sampling_is_three(self, capsys, samples, p_max, refusal):
         code, out, err = run(capsys, "curve", "-t", "365", "--p-max", p_max, "--samples", samples)
-        assert code == 3 and out == "" and err.startswith("error: ")
+        assert code == 3 and out == "" and err == f"error: {refusal}\n"
 
     def test_p_max_at_the_float_limit_still_samples(self, capsys):
         p_max = int(sys.float_info.max)

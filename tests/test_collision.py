@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import ropcalc
@@ -23,11 +24,15 @@ from ropcalc import (
     GaltonModel,
     IngestError,
     IterationBudgetError,
+    PopulationRecord,
     SeriesBoundError,
+    SolveTarget,
     SpaceSize,
     as_space_size,
     collision_probability,
     pair_count,
+    solve_space,
+    space_for_world_overlap,
     space_size,
 )
 from ropcalc import collision
@@ -361,6 +366,15 @@ class TestSurvivalLogSeries:
             collision_probability(365, 23, "series", order=1)
         with pytest.raises(DomainError):
             collision_probability(365, 23, "series", order=-2)
+        for bad in (2.5, True, np.True_, "6"):
+            with pytest.raises(DomainError, match="^series order must be a whole number"):
+                collision_probability(365, 23, "series", order=bad)
+
+    @pytest.mark.parametrize("order", [6.0, np.int64(6), np.uint8(6)], ids=["float", "int64", "uint8"])
+    def test_whole_number_order_is_an_int(self, order):
+        r = collision_probability(1e9, 10, "series", order=order)
+        assert r.order == 6 and type(r.order) is int
+        assert r == collision_probability(1e9, 10, "series", order=6)
 
     def test_order_above_the_cap_is_refused(self):
         # the cap bounds the Pascal rows memoised for the process's life:
@@ -516,7 +530,16 @@ class TestCollisionProbability:
         a, b = collision_probability(365, 23.0), collision_probability(365, 23)
         assert a.log_survival.hex() == b.log_survival.hex() and a == b
 
-    @pytest.mark.parametrize("bad", [-1, 2.5, float("nan"), "23", True])
+    @pytest.mark.parametrize("whole", [np.int64(23), np.int32(23), np.uint64(23), np.float64(23.0)],
+                             ids=["int64", "int32", "uint64", "float64"])
+    def test_numpy_population_is_the_int_answer(self, whole):
+        for t, method in ((365, "auto"), (1e12, "series"), (np.int64(365), "exact")):
+            a, b = collision_probability(t, whole, method), collision_probability(int(t), 23, method)
+            assert (a.probability.hex(), a.log_survival.hex()) == (b.probability.hex(), b.log_survival.hex())
+        assert collision_probability(365, 23, exact_budget=np.int64(22)).method == "exact"
+        assert as_space_size(np.int64(365)) == as_space_size(365) and pair_count(whole) == 253
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, float("nan"), "23", True, np.True_, np.int64(-1)])
     def test_rejects_bad_population(self, bad):
         with pytest.raises(DomainError):
             collision_probability(365, bad)
@@ -695,6 +718,31 @@ def test_every_refusal_is_a_domain_error():
     for cls in (IterationBudgetError, IngestError, SeriesBoundError):
         assert issubclass(cls, DomainError), cls
     assert issubclass(IterationBudgetError, RuntimeError)  # `except RuntimeError` still catches it
+
+
+_BIG = 10**5000  # past str()'s 4300-digit limit, which each of these refusals once ran into
+_OVERSIZED = {
+    "population": lambda n: collision_probability(365, -n),
+    "exact_budget": lambda n: collision_probability(365, 23, exact_budget=-n),
+    "order": lambda n: collision_probability(1e9, 10, "series", order=n),
+    "-order": lambda n: collision_probability(1e9, 10, "series", order=-n),
+    "method": lambda n: collision_probability(365, 23, n),
+    "pair_count": lambda n: pair_count(-n),
+    "record": lambda n: PopulationRecord("a", -n),
+    "model": lambda n: GaltonModel(-n),
+    "target": lambda n: SolveTarget(n),
+    "tolerance": lambda n: SolveTarget(0.5, n),
+    "solve_space": lambda n: solve_space(-n, 0.5),
+    "world": lambda n: space_for_world_overlap(50, n),
+    "-world": lambda n: space_for_world_overlap(50, -n),
+}
+
+
+@pytest.mark.parametrize("call", _OVERSIZED.values(), ids=_OVERSIZED.keys())
+def test_an_oversized_int_is_refused_by_its_size(call):
+    with pytest.raises(DomainError, match="bits") as info:
+        call(_BIG)
+    assert type(info.value) is DomainError
 
 
 def test_exact_bits_do_not_depend_on_numpy_simd_dispatch():

@@ -14,6 +14,7 @@ import random
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,6 +89,15 @@ class TestModels:
             GaltonModel(0, 8, 4)
         with pytest.raises(DomainError):
             RegionModel(47, -1)
+
+    def test_whole_numbers_are_read_as_ints(self):
+        for galton in (GaltonModel(24.0), GaltonModel(np.int64(24), np.uint8(8), 4.0)):
+            assert galton == GaltonModel() and type(galton.unit_squares) is int
+            assert hash(galton) == hash(GaltonModel())
+        assert RegionModel(47.0, np.int32(2)) == RegionModel()
+        for bad in (24.5, True, np.True_, "24", -(10**5000)):
+            with pytest.raises(DomainError, match="^unit_squares must be"):
+                GaltonModel(bad)
 
     def test_rejects_oversized_space(self):
         # 2^100 > the 1e30 ceiling
@@ -223,7 +233,13 @@ class TestPopulationRecord:
         with pytest.raises(DomainError):
             PopulationRecord(bad_name, 100)
 
-    @pytest.mark.parametrize("bad_pop", [-1, 2.5, "100", True])
+    def test_whole_float_population_is_an_int(self):
+        for whole in (5.0, np.int64(5)):
+            rec = PopulationRecord("a", whole)
+            assert rec == PopulationRecord("a", 5) and type(rec.population) is int
+            assert dump_populations([rec]) == "name,population\na,5\n"
+
+    @pytest.mark.parametrize("bad_pop", [-1, 2.5, "100", True, np.True_, float("inf")])
     def test_rejects_bad_populations(self, bad_pop):
         with pytest.raises(DomainError):
             PopulationRecord("X", bad_pop)
@@ -522,8 +538,19 @@ class TestLoadDump:
 
     @pytest.mark.parametrize("name", ["A\nB", "X\u2028Y", "Caf\x85e", "A\r\nB"])
     def test_dump_refuses_names_with_line_breaks(self, name):
-        with pytest.raises(DomainError, match="line break"):
+        # the record is named by its name alone: its repr would show the population too
+        message = f"record {name!r}: a name with a line break cannot be one table row"
+        with pytest.raises(DomainError) as info:
             dump_populations([PopulationRecord("ok", 1), PopulationRecord(name, 2)])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("item", [("a", 5), None, "a,5"], ids=["tuple", "None", "str"])
+    def test_dump_refuses_what_is_no_record(self, item):
+        # as rop_table does, with a DomainError rather than an AttributeError
+        with pytest.raises(DomainError, match=f"^expected PopulationRecord, got {type(item).__name__}$"):
+            dump_populations([PopulationRecord("ok", 1), item])
+        with pytest.raises(DomainError, match=f"^expected PopulationRecord, got {type(item).__name__}$"):
+            rop_table([item], 365)
 
     def test_bundled_table_shape(self):
         recs = load_bundled_cities()

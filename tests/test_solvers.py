@@ -8,6 +8,7 @@ import math
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ropcalc import (
@@ -72,8 +73,8 @@ class TestSolveTarget:
 
     @pytest.mark.parametrize("solve", [solve_population, solve_space],
                              ids=["population", "space"])
-    @pytest.mark.parametrize("bad", ["0.5", True, 10**400, -(10**400)],
-                             ids=["str", "bool", "1e400", "-1e400"])
+    @pytest.mark.parametrize("bad", ["0.5", True, 10**400, -(10**400), np.True_, np.int64(1)],
+                             ids=["str", "bool", "1e400", "-1e400", "np-True", "np-1"])
     def test_solvers_refuse_a_target_that_is_not_a_probability(self, solve, bad):
         # an int past the float range is refused before float() could overflow
         with pytest.raises(DomainError):
@@ -353,11 +354,20 @@ class TestWorldOverlap:
         sizes = [space_for_world_overlap(x).value for x in (5, 25, 50, 75, 95)]
         assert sizes == sorted(sizes, reverse=True)
 
-    @pytest.mark.parametrize("bad", [0, 100, -3, 101.0, float("nan"), "50", 10**400, -(10**400)],
-                             ids=["0", "100", "-3", "101.0", "nan", "str-50", "1e400", "-1e400"])
+    @pytest.mark.parametrize("bad", [0, 100, -3, 101.0, float("nan"), "50", 10**400, -(10**400),
+                                     np.True_, np.int64(100)],
+                             ids=["0", "100", "-3", "101.0", "nan", "str-50", "1e400", "-1e400",
+                                  "np-True", "np-100"])
     def test_rejects_degenerate_percent(self, bad):
         with pytest.raises(DomainError):
             space_for_world_overlap(bad)
+
+    def test_numpy_integers_are_the_int_answer(self):
+        assert space_for_world_overlap(np.int64(50)) == space_for_world_overlap(50)
+        assert space_for_world_overlap(np.int32(50), world_population=np.int64(1000)) == \
+            space_for_world_overlap(50, world_population=1000)
+        assert solve_space(1000.0, 0.5) == solve_space(1000, 0.5)
+        assert solve_population(np.int64(365), 0.5) == 23
 
     def test_halving_percent_roughly_doubles_space(self):
         # for small probabilities B ~ pair_count/t, so x and t trade linearly
