@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of draws (separators and 1.4e7 style accepted)")
     p_prob.add_argument("--method", choices=("exact", "series", "auto"), default=AUTO,
                         help="evaluation route (default auto)")
-    p_prob.add_argument("--order", type=int, default=None,
+    p_prob.add_argument("--order", type=_count_arg, default=None,
                         help="series truncation order (series method only)")
     _add_format(p_prob)
     p_prob.set_defaults(func=_cmd_prob)
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space(p_curve)
     p_curve.add_argument("--p-max", type=_count_arg, required=True,
                          help="largest population to sample")
-    p_curve.add_argument("--samples", type=int, default=101,
+    p_curve.add_argument("--samples", type=_count_arg, default=101,
                          help="number of evenly spaced samples (default 101)")
     _add_format(p_curve)
     p_curve.set_defaults(func=_cmd_curve)

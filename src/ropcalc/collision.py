@@ -10,8 +10,8 @@ trillions, so everything is evaluated through the log of the survival
 ``collision_probability`` takes one of two routes, named by ``method``:
 
 * "exact" walks the product factors (t - n) / t directly, taking each
-  factor as log1p(-n / t) and accumulating with compensated summation
-  over fixed-size blocks.  Cost is O(p).
+  factor as log1p(-n / t), summing each fixed-size block with numpy and
+  the block sums with the correctly rounded ``math.fsum``.  Cost is O(p).
 * "series" expands each log1p term as a power series and swaps the order
   of summation, which turns the whole sum into a handful of cumulative
   power sums, each computed exactly in integer arithmetic from the lower
@@ -75,8 +75,8 @@ _SERIES_MAX_RATIO = 0.5
 _MAX_ORDER = 512
 
 # Fixed block length for the exact product sum.  Blocks are summed with
-# numpy's pairwise reduction and combined with Neumaier compensation, so
-# the partitioning itself is part of the (deterministic) algorithm.
+# numpy's pairwise reduction and combined with ``math.fsum``, so the
+# partitioning itself is part of the (deterministic) algorithm.
 _BLOCK = 1 << 16
 
 # Rounding allowance folded into reported error bounds: covers term
@@ -89,8 +89,6 @@ _ROUNDING_UNIT = 1e-13
 # each route: two correctly-rounded expm1 calls cost at most one ulp of a
 # result near 1 (~2.2e-16) combined; 5e-16 leaves better than 2x headroom.
 _FINAL_ROUNDING = 5e-16
-
-_LN2 = math.log(2.0)
 
 # An order-less scan at p/t = x stops near order 1 + ln(5e-11) / ln x, where its terms,
 # about x**k / (k (k + 1)) of the value, reach the 1e-13 share: 4.4, 11.3 and 30.7 at
@@ -233,30 +231,16 @@ def _is_guaranteed_repeat(space: SpaceSize, p: int) -> bool:
     return p - 1 >= space.value
 
 
-def _neumaier(total: float, comp: float, x: float) -> "tuple[float, float]":
-    """One Neumaier compensated-sum step: add x to the running (total, comp).
-
-    The final sum is total + comp (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 4.3).
-    """
-    s = total + x
-    if abs(total) >= abs(x):
-        comp += (total - s) + x
-    else:
-        comp += (x - s) + total
-    return s, comp
-
-
 def _survival_log_product(t: float, p: int) -> float:
-    """Sum of log1p(-n/t) for n in [1, p-1] with fixed-block compensation."""
+    """Sum of log1p(-n/t) for n in [1, p-1]: fixed blocks, block sums correctly rounded."""
     import numpy as np  # only this loop needs it; keeps it off the import path
 
-    total = comp = 0.0
+    blocks = []
     for start in range(1, p, _BLOCK):
         n = np.arange(start, min(p, start + _BLOCK), dtype=np.float64)
         np.divide(n, -t, out=n)  # in place, with no block-sized temporaries: -(n / t) exactly
-        total, comp = _neumaier(total, comp, float(np.log1p(n, out=n).sum()))
-    return total + comp
+        blocks.append(float(np.log1p(n, out=n).sum()))
+    return math.fsum(blocks)
 
 
 # --- exact cumulative power sums ------------------------------------------
@@ -286,20 +270,14 @@ def _power_sums(m: int):
         yield s
 
 
-def _log_int(n: int) -> float:
-    # log of a positive big integer without float overflow
-    shift = max(n.bit_length() - 53, 0)
-    return math.log(n >> shift) + shift * _LN2
-
-
 def _series_term(s: int, k: int, t: float, log_t: float) -> float:
     """Value of s / (k * t**k) for the power sum s = S_k(m), overflow-safe."""
     # Direct evaluation while numerator and denominator both fit in floats;
     # otherwise fall back to log space (t**k overflows doubles long before
-    # the term itself stops mattering).
+    # the term itself stops mattering; math.log takes an int of any size).
     if s.bit_length() <= 1000 and k * log_t <= 690.0:
         return float(s) / (k * t**k)
-    return math.exp(_log_int(s) - math.log(k) - k * log_t)
+    return math.exp(math.log(s) - math.log(k) - k * log_t)
 
 
 def _prob_bound(v: float, tail: float) -> float:
@@ -337,17 +315,18 @@ def _series_scan(t: float, p: int, order=None):
     log_t = math.log(t)
     geom = 1.0 / (1.0 - ratio)
     sums = _power_sums(p - 1)
-    # Starting the sum at term 1 with no compensation is bit-identical to
-    # a Neumaier step from zero.
-    total, comp = _series_term(next(sums), 1, t, log_t), 0.0
+    terms = [_series_term(next(sums), 1, t, log_t)]
+    # The stop test reads a plain running sum: builtin sum() compensates since
+    # Python 3.12, and the stop order must not depend on the Python version.
+    running = terms[0]
     omitted = _series_term(next(sums), 2, t, log_t)
     for k in range(2, (order or _MAX_ORDER) + 1):
-        total, comp = _neumaier(total, comp, omitted)
+        terms.append(omitted)
+        running += omitted
         omitted = _series_term(next(sums), k + 1, t, log_t)
-        value, tail = -(total + comp), omitted * geom
-        if order is None and tail <= _ROUNDING_UNIT * -value:
+        if order is None and omitted * geom <= _ROUNDING_UNIT * running:
             break
-    return value, tail, k
+    return -math.fsum(terms), omitted * geom, k
 
 
 def collision_probability(

@@ -1,8 +1,9 @@
 """Shared test oracles and helpers.
 
 These deliberately avoid the library's own evaluation paths: the rational
-oracle multiplies exact fractions, and the log oracle uses math.fsum over
-individually computed log1p terms.  Agreement between an oracle and the
+oracle multiplies exact fractions, one log oracle uses math.fsum over
+individually computed log1p terms, and the other takes a log-gamma
+difference in mpmath.  Agreement between an oracle and the
 library is therefore evidence, not tautology.
 """
 
@@ -29,6 +30,16 @@ def rational_collision(t, p: int) -> Fraction:
 def fsum_survival_log(t: float, p: int) -> float:
     """Brute-force log-survival via exact (Shewchuk) float summation."""
     return math.fsum(math.log1p(-n / t) for n in range(1, p))
+
+
+def lgamma_survival_log(t: float, p: int) -> float:
+    """Log-survival as the log-gamma difference lgamma(t) - lgamma(t - p + 1) - (p - 1) log t,
+    in mpmath with 60 digits beyond the ~2 log10(t) that the cancellation can lose."""
+    import mpmath  # a test extra; only this oracle needs it
+
+    with mpmath.workdps(60 + 2 * len(str(int(t)))):
+        t = mpmath.mpf(t)
+        return float(mpmath.loggamma(t) - mpmath.loggamma(t - p + 1) - (p - 1) * mpmath.log(t))
 
 
 def assert_same_space(space, value: float):

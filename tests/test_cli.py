@@ -6,11 +6,14 @@ from argparse, domain failures as return code 3, success as 0.
 
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 
 import pytest
 
+import ropcalc
 from ropcalc import collision_probability, solve_space
 from ropcalc.cli import main, parse_count_expr, parse_space_expr
 
@@ -116,6 +119,12 @@ class TestProb:
         payload = json.loads(out)
         assert payload["method"] == "series" and payload["order"] == 6
         assert payload["error_bound"] > 0.0
+
+    @pytest.mark.parametrize("order", ["3.0", "3e0"])
+    def test_order_is_read_as_a_count(self, capsys, order):
+        code, out, _ = run(capsys, "prob", "-t", "2^47", "-p", "1.4e7",
+                           "--method", "series", "--order", order, "--format", "json")
+        assert code == 0 and out == _GOLDEN[1][1]["json"]
 
     def test_pigeonhole_note_and_null_log(self, capsys):
         code, out, _ = run(capsys, "prob", "-t", "10", "-p", "11", "--format", "json")
@@ -295,6 +304,13 @@ class TestCurve:
         _, out, _ = run(capsys, "curve", "-t", "365", "--p-max", "100", "--format", "json")
         assert len(json.loads(out)) == 101
 
+    @pytest.mark.parametrize("samples, rows", [("1,001", 1001), ("4.0", 4), ("1e1", 10)])
+    def test_samples_is_read_as_a_count(self, capsys, samples, rows):
+        code, out, _ = run(capsys, "curve", "-t", "365", "--p-max", "30",
+                           "--samples", samples, "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and len(payload) == rows and payload[-1]["population"] == 30
+
     def test_p_max_beyond_float_range_is_three(self, capsys):
         code, out, err = run(capsys, "curve", "-t", "1e30", "--p-max", "9" * 400, "--samples", "3")
         assert code == 3 and out == "" and err.startswith("error: --p-max") and "float" in err
@@ -341,6 +357,17 @@ class TestExitCodes:
         # auto would pick the exact product here; --order is for the series only
         code, out, err = run(capsys, "prob", "-t", "365", "-p", "23", "--order", "6")
         assert code == 3 and out == "" and "series method" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["prob", "-t", "1e12", "-p", "1e6", "--method", "series", "--order", "-1"],
+        ["prob", "-t", "1e12", "-p", "1e6", "--method", "series", "--order", "2.5"],
+        ["curve", "-t", "365", "--p-max", "30", "--samples", "-1"],
+        ["curve", "-t", "365", "--p-max", "30", "--samples", "2.5"],
+    ], ids=["order-negative", "order-fraction", "samples-negative", "samples-fraction"])
+    def test_order_or_samples_that_is_no_count_is_two(self, capsys, argv):
+        # read like -p: a count that does not parse is argparse's exit 2
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "bad count" in err
 
     def test_order_above_the_cap_is_three(self, capsys):
         code, out, err = run(capsys, "prob", "-t", "1e12", "-p", "1e6",
@@ -485,6 +512,16 @@ class TestGolden:
         code, out, _ = run(capsys, *argv, "--format", fmt)
         assert code == 0
         assert out == expected[fmt]
+
+
+def test_python_m_runs_the_cli():
+    # the README's `python -m ropcalc.cli`, on the ropcalc under test, installed or not
+    site = os.path.dirname(os.path.dirname(ropcalc.__file__))
+    paths = [site, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run([sys.executable, "-m", "ropcalc.cli", "prob", "-t", "365", "-p", "23",
+                          "--format", "json"], capture_output=True, text=True, env=env)
+    assert out.returncode == 0 and out.stdout == _GOLDEN[0][1]["json"], out.stderr
 
 
 # Answers of the kernels and solvers, frozen as the --format json payloads the

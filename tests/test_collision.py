@@ -38,7 +38,7 @@ from ropcalc import (
 from ropcalc import collision
 from ropcalc.collision import _series_scan, _survival_log_product
 
-from conftest import assert_same_space, fsum_survival_log, rational_collision
+from conftest import assert_same_space, fsum_survival_log, lgamma_survival_log, rational_collision
 
 # frozen: float of the exact rational 1 - 365!/(342! * 365^23)
 B_365_23 = 0.5072972343239854
@@ -161,19 +161,23 @@ class TestSurvivalLogExact:
         )
 
     # frozen: multi-block products as the out-of-place kernel summed them
-    # (block sums of log1p(-(n / t))), at a mid ratio and at t = p - 0.5
+    # (block sums of log1p(-(n / t))), at a mid ratio and at t = p - 0.5, and
+    # the 214 blocks of the paper's "50% at 14 million" in 2^47 as the
+    # Neumaier cross-block sum gave them
     EXACT_MULTI_BLOCK = [
         (2**16 + 2, 262152.0, "-0x1.187c43ec8de6fp+13"),
         (2**16 + 2, 65537.5, "-0x1.00012746deaeep+16"),
         (3 * 2**16 + 5, 786452.0, "-0x1.a4bb003b46313p+14"),
         (3 * 2**16 + 5, 196612.5, "-0x1.800213a37673dp+17"),
+        (14_000_000, 2.0**47, "-0x1.64859bdb97326p-1"),
     ]
 
     @pytest.mark.parametrize("p, t, frozen", EXACT_MULTI_BLOCK)
     def test_multi_block_products_are_frozen(self, p, t, frozen):
         v = collision_probability(t, p, "exact").log_survival
         assert v.hex() == frozen
-        assert v == pytest.approx(fsum_survival_log(t, p), rel=1e-13)
+        # the log-gamma oracle: fsum over 14M Python log1p calls takes seconds
+        assert v == pytest.approx(lgamma_survival_log(t, p), rel=1e-13)
 
     def test_deterministic(self):
         a = collision_probability(2**36, 123_457, "exact")
@@ -237,6 +241,14 @@ class TestPowerSum:
 
     def test_zero_range(self):
         assert _power_sum(5, 0) == 0
+
+    def test_a_wrong_pascal_row_is_an_internal_error(self, monkeypatch):
+        # C(5, 0) = 2 in place of 1 takes S_0(3) = 3 more off 5 * S_4(3) = 490,
+        # and 487 is no multiple of 5
+        monkeypatch.setattr(collision, "_pascal",
+                            lambda n: (2, *map(math.comb, [n] * n, range(1, n + 1))))
+        with pytest.raises(AssertionError, match="non-integral for k=4, m=3"):
+            _power_sum(4, 3)
 
     @pytest.mark.parametrize("q", [10_007, 65_521])
     def test_high_order_huge_m_against_modular_oracle(self, q):

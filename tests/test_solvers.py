@@ -209,6 +209,12 @@ class TestSolvePopulation:
         monkeypatch.setattr(solvers, "collision_probability", forced_only)
         assert solve_population(2**70, 0.5) == 2**70 + 1
 
+    def test_a_map_below_the_target_at_the_cap_is_an_internal_error(self, monkeypatch):
+        # the true map reaches probability 1 at the cap, so only a broken one gets here
+        monkeypatch.setattr(solvers, "collision_probability", lambda t, p: _double(0.0))
+        with pytest.raises(AssertionError, match="guaranteed-repeat cutoff failed"):
+            solve_population(365, 0.5)
+
 
 class TestSolveSpace:
     def test_round_trip_even_odds(self):
