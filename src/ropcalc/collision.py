@@ -58,13 +58,6 @@ MAX_SPACE = 1e30
 # otherwise; 1e8 log1p evaluations complete in a few seconds.
 DEFAULT_EXACT_BUDGET = 10**8
 
-# Auto takes the certified series (p/t < 1/2) when p/t <= 1e-4, and otherwise the
-# route predicted cheaper: a cold scan to order k (_LOG_STOP) costs about as much as
-# a product of 48 k**2 + 200 factors, the fit with the least summed cold cost over a
-# grid of p in [10, 6e4] by p/t in [1e-4, 1/2) (README).
-_AUTO_SERIES_RATIO = 1e-4
-_AUTO_FACTORS_PER_ORDER2, _AUTO_FACTORS_BASE = 48, 200
-
 # The certified geometric tail bound needs the term ratio to stay below 1
 # with margin; refuse the series above this draw/space ratio.
 _SERIES_MAX_RATIO = 0.5
@@ -89,11 +82,6 @@ _ROUNDING_UNIT = 1e-13
 # each route: two correctly-rounded expm1 calls cost at most one ulp of a
 # result near 1 (~2.2e-16) combined; 5e-16 leaves better than 2x headroom.
 _FINAL_ROUNDING = 5e-16
-
-# An order-less scan at p/t = x stops near order 1 + ln(5e-11) / ln x, where its terms,
-# about x**k / (k (k + 1)) of the value, reach the 1e-13 share: 4.4, 11.3 and 30.7 at
-# x = 1e-3, 0.1 and 0.45 against real stops 4, 12 and 31; auto's cost rule uses it.
-_LOG_STOP = math.log(5e-11)
 
 EXACT = "exact"
 SERIES = "series"
@@ -224,13 +212,6 @@ def pair_count(n) -> int:
     return n * (n - 1) // 2
 
 
-def _is_guaranteed_repeat(space: SpaceSize, p: int) -> bool:
-    # p draws over t values force a repeat once p - 1 >= t.  Python compares
-    # an int with a float exactly, so this holds at every size; the float
-    # form p >= t + 1.0 fails above 2**53, where t + 1.0 == t.
-    return p - 1 >= space.value
-
-
 def _survival_log_product(t: float, p: int) -> float:
     """Sum of log1p(-n/t) for n in [1, p-1]: fixed blocks, block sums correctly rounded."""
     import numpy as np  # only this loop needs it; keeps it off the import path
@@ -329,24 +310,42 @@ def _series_scan(t: float, p: int, order=None):
     return -math.fsum(terms), omitted * geom, k
 
 
+_AUTO_SERIES_RATIO = 1e-4
+_AUTO_FACTORS_PER_ORDER2, _AUTO_FACTORS_BASE = 48, 200
+_LOG_STOP = math.log(5e-11)
+
+
+def _pick(t: float, p: int, budget: int) -> str:
+    """Auto's route for 1 < p < t + 1: the series if p/t <= 1e-4, or if p/t < 1/2 and the
+    product's p - 1 factors pass min(budget, 48 k**2 + 200); the product otherwise.  A cold
+    scan to order k = 1 + ln(5e-11) / ln(p/t) costs about as much as 48 k**2 + 200 factors,
+    the fit with the least summed cold cost over p in [10, 6e4] by p/t in [1e-4, 1/2) (README).
+    k is the order where a scan's terms, ~x**k / (k (k + 1)) of the value at x = p/t, reach its
+    1e-13 stop share: 4.4, 11.3 and 30.7 at x = 1e-3, 0.1 and 0.45 against real stops 4, 12, 31.
+    """
+    ratio = p / t
+    if not _AUTO_SERIES_RATIO < ratio < _SERIES_MAX_RATIO:
+        return SERIES if ratio <= _AUTO_SERIES_RATIO else EXACT
+    k = 1.0 + _LOG_STOP / math.log(ratio)
+    return SERIES if p - 1 > min(budget, _AUTO_FACTORS_PER_ORDER2 * k * k + _AUTO_FACTORS_BASE) else EXACT
+
+
 def collision_probability(
     t, p, method: str = AUTO, *, order=None, exact_budget: int = DEFAULT_EXACT_BUDGET
 ) -> EvalResult:
     """Probability that p uniform draws over t values repeat at least once.
 
-    ``method`` is "exact", "series", or "auto".  Auto takes the series
-    wherever it is certified (p/t < 1/2) and either p/t <= 1e-4 or the
-    product would need more than 48 k**2 + 200 factors, where
-    k = 1 + ln(5e-11) / ln(p/t) is the order the series is predicted to stop
-    at; otherwise it runs the exact product within ``exact_budget``.  The
-    series grows its order until the truncation bound on ``log_survival`` is
-    at most 1e-13 of its magnitude.
+    ``method`` is "exact", "series", or "auto".  Auto takes the series where
+    it is certified (p/t < 1/2) and either p/t <= 1e-4 or it is predicted
+    cheaper than the exact product within ``exact_budget``, and the product
+    otherwise; README gives the fitted cost rule.  The series grows its order
+    until the truncation bound on ``log_survival`` is at most 1e-13 of it.
 
     Two short circuits need no iteration at all: p <= 1 gives probability
     exactly 0, and p >= t + 1 gives probability exactly 1 (some value must
     repeat once every value has been seen).
     """
-    space = as_space_size(t)
+    t = as_space_size(t).value
     p = _as_count(p)
     exact_budget = _as_count(exact_budget, "exact budget")
     if method not in (EXACT, SERIES, AUTO):
@@ -357,30 +356,21 @@ def collision_probability(
         if (order := _as_count(order, "series order", 2)) > _MAX_ORDER:
             raise DomainError(f"series order must be at most {_MAX_ORDER}, got {_shown(order)}")
 
-    if p <= 1:
-        return _result_from_log(0.0, EXACT, 0.0)
-    if _is_guaranteed_repeat(space, p):
-        return _result_from_log(-math.inf, EXACT, 0.0)
+    # p draws over t values force a repeat once p - 1 >= t: Python compares an int with a
+    # float exactly, at every size, where p >= t + 1.0 fails above 2**53 (t + 1.0 == t).
+    if p <= 1 or p - 1 >= t:
+        return _result_from_log(0.0 if p <= 1 else -math.inf, EXACT, 0.0)
 
-    if method == AUTO:
-        # Over the budget only the series is left; within it the O(p) walk
-        # pays off for short products, and is the one route for p/t >= 1/2.
-        ratio = p / space.value
-        if _AUTO_SERIES_RATIO < ratio < _SERIES_MAX_RATIO:
-            k = 1.0 + _LOG_STOP / math.log(ratio)
-            cheap = p - 1 > min(exact_budget, _AUTO_FACTORS_PER_ORDER2 * k * k + _AUTO_FACTORS_BASE)
-        else:
-            cheap = ratio <= _AUTO_SERIES_RATIO
-        method = SERIES if cheap else EXACT
-
-    if method == EXACT:
-        # the one over-budget refusal; p <= 1 and the pigeonhole case are settled above, so p/t is finite
-        if p - 1 > exact_budget:
-            ratio = p / space.value
+    route = _pick(t, p, exact_budget) if method == AUTO else method
+    if route == SERIES:
+        value, tail, order = _series_scan(t, p, order)
+        bound = _prob_bound(value, tail)
+    else:
+        if p - 1 > exact_budget:  # the one over-budget refusal
+            ratio = p / t
             advice = ("so use the series method instead" if ratio < _SERIES_MAX_RATIO
                       else "too large for the series")
             raise IterationBudgetError(f"exact product needs {p - 1} factors, over the budget of "
                                        f"{exact_budget}; p/t = {ratio:.3g}, {advice}")
-        return _result_from_log(_survival_log_product(space.value, p), EXACT, 0.0)
-    value, tail, k = _series_scan(space.value, p, order)
-    return _result_from_log(value, SERIES, _prob_bound(value, tail), k)
+        value, bound = _survival_log_product(t, p), 0.0
+    return _result_from_log(value, route, bound, order)

@@ -283,17 +283,24 @@ def load_populations(source, *, delimiter=None) -> "list[PopulationRecord]":
 def dump_populations(records) -> str:
     """Serialize records to normalized CSV (plain digits, comma-separated) that
     ``parse_populations`` reads back: a name led by '#' is quoted, so its row is no comment;
-    a name holding a line boundary, or an item that is no PopulationRecord, is a DomainError."""
+    no records, a name holding a line boundary, a name that repeats an earlier one once the
+    reader strips both, or an item that is no PopulationRecord, is a DomainError."""
     buf = io.StringIO()
     plain = csv.writer(buf, lineterminator="\n")
     quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
     plain.writerow(["name", "population"])
+    seen = set()
     for rec in records:
         if not isinstance(rec, PopulationRecord):
             raise DomainError(f"expected PopulationRecord, got {type(rec).__name__}")
         if rec.name.splitlines() != [rec.name]:
             raise DomainError(f"record {rec.name!r}: a name with a line break cannot be one table row")
-        (quoted if rec.name.lstrip()[:1] == "#" else plain).writerow([rec.name, rec.population])
+        if (name := rec.name.strip()) in seen:
+            raise DomainError(f"record {rec.name!r}: duplicate name {name!r} once read back")
+        seen.add(name)
+        (quoted if name[:1] == "#" else plain).writerow([rec.name, rec.population])
+    if not seen:
+        raise DomainError("need at least one population record")
     return buf.getvalue()
 
 

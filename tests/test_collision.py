@@ -604,11 +604,8 @@ def auto_exact_limit(t, p):
 
 
 def _auto_route(t, p):
-    """The route auto takes at (t, p), with both kernels stubbed out."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(collision, "_survival_log_product", lambda t, p: -1.0)
-        mp.setattr(collision, "_series_scan", lambda t, p, order: (-1.0, 0.0, 2))
-        return collision_probability(t, p).method
+    """The route auto takes at (t, p) within the default budget, from its rule alone."""
+    return collision._pick(float(t), p, collision.DEFAULT_EXACT_BUDGET)
 
 
 def _route_flips(t, p_max):

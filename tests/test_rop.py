@@ -544,6 +544,19 @@ class TestLoadDump:
             dump_populations([PopulationRecord("ok", 1), PopulationRecord(name, 2)])
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("recs, table, message", [
+        ([], "name,population\n", "need at least one population record"),
+        ([PopulationRecord("a", 1), PopulationRecord(" a", 2)], "name,population\na,1\n a,2\n",
+         "record ' a': duplicate name 'a' once read back"),
+    ], ids=["empty", "duplicate-once-stripped"])
+    def test_dump_refuses_what_its_reader_refuses(self, recs, table, message):
+        # the table these records would make is refused on reading, so no table is made
+        with pytest.raises(IngestError):
+            parse_populations(table)
+        with pytest.raises(DomainError) as info:
+            dump_populations(recs)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("item", [("a", 5), None, "a,5"], ids=["tuple", "None", "str"])
     def test_dump_refuses_what_is_no_record(self, item):
         # as rop_table does, with a DomainError rather than an AttributeError

@@ -1,0 +1,150 @@
+"""Seeded bit-for-bit sweep of ropcalc's answers.
+
+Evaluates a seeded set of forward calls, solves and tables over the
+documented domain and prints one line: the record count and a sha256 over
+every record.  A record holds each input and each answer field, a float by
+its ``.hex()`` and anything else by its repr, or a refusal by its type and
+message.  Two ropcalc versions answer bit for bit alike on the sweep when
+they print the same line; ``--dump`` prints the records first, so two runs
+can be diffed.
+
+It uses whatever ``ropcalc`` is importable, so one script compares two
+checkouts, each run in its own process:
+
+    PYTHONPATH=../parent/src python tools/bitsweep.py
+    PYTHONPATH=src python tools/bitsweep.py
+
+Cover (default ``--calls 10000``): 4,000 auto, 3,000 exact and 3,000 series
+calls with t in [1, 1e30] and random budgets and orders, 37 calls at the edges,
+``calls // 10`` solves of each kind, and the bundled table at 2^36, 2^47,
+1e12 and 2^64.  Takes a few seconds.
+"""
+
+import argparse
+import hashlib
+import random
+import sys
+
+import ropcalc
+from ropcalc import (
+    DomainError,
+    collision_probability,
+    load_bundled_cities,
+    rop_table,
+    solve_population,
+    solve_space,
+    space_for_world_overlap,
+)
+
+# An exact product over a million factors takes a few ms; every exact call asks
+# for at most this many unless its budget refuses it first.
+_EXACT_CAP = 10**6
+
+# Calls at the edges: one of each refusal, and auto's switches and the pigeonhole wall hit exactly.
+_EDGES = [
+    ((0, 5), {}), ((1e31, 5), {}), ((float("nan"), 5), {}), ((True, 5), {}), (("365", 5), {}),
+    ((2**100, 5), {}), ((365, -1), {}), ((365, 2.5), {}), ((365, True), {}), ((365, "23"), {}),
+    ((365, 23, "fast"), {}), ((365, 23, "exact"), {"order": 3}), ((365, 23), {"order": 3}),
+    ((365, 23, "series"), {"order": 1}), ((365, 23, "series"), {"order": 513}),
+    ((365, 23, "series"), {"order": 2.5}), ((365, 23), {"exact_budget": -1}),
+    ((365, 23), {"exact_budget": 1.5}), ((365, 23), {"exact_budget": None}),
+    ((365, 2**4000), {}), ((365, -(2**4000)), {}),
+    ((365, 200), {"exact_budget": 10}), ((1000, 499), {"exact_budget": 10}),
+    ((1e12, 10**9, "exact"), {}), ((1e12, 10**9, "exact"), {"exact_budget": 10**8}),
+    ((1000, 600, "series"), {}), ((1000, 500, "series"), {}), ((1e30, 6e29, "series"), {}),
+    ((1e6, 10**7, "series"), {}), ((1e6, 10**7, "exact"), {"exact_budget": 0}),
+    ((1000, 500, "exact"), {"exact_budget": 10}), ((1000, 500), {}), ((1e5, 10), {}),
+    ((2**60, 2**60), {}), ((2**60, 2**60 + 1), {}), ((2.0**60, 2**60 + 1), {}), ((365, 366), {}),
+]
+
+
+def _field(value) -> str:
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def _answer(fn, *args, **kwargs) -> list:
+    """The answer of one call as fields, or its refusal by type and message."""
+    try:
+        out = fn(*args, **kwargs)
+    except DomainError as err:
+        return [type(err).__name__, str(err)]
+    if isinstance(out, ropcalc.EvalResult):
+        return [out.probability, out.log_survival, out.method, out.abs_error_bound, out.order]
+    return [out.value if isinstance(out, ropcalc.SpaceSize) else out]
+
+
+def _space(rng) -> "float | int":
+    t = 10 ** rng.uniform(0, 30)
+    return int(t) if rng.random() < 0.2 else t  # ints past 2**53 compare with p exactly
+
+
+def _budget(rng) -> dict:
+    return {} if rng.random() < 0.5 else {"exact_budget": int(10 ** rng.uniform(0, 6.5))}
+
+
+def _forward_calls(rng, calls):
+    """(args, kwargs) of ``calls`` forward calls: 40% auto, 30% exact, 30% series."""
+    for i in range(calls):
+        share = i / calls
+        t = _space(rng)
+        if share < 0.4:  # auto at p/t from 1e-14 to 2, and at each of its three switches
+            ratio = rng.choice([10 ** rng.uniform(-14, 0.3), 10 ** rng.uniform(-4.3, -3.7),
+                                rng.uniform(0.4, 0.6), 10 ** rng.uniform(-4, -0.3)])
+            if ratio < 0.5 and rng.random() < 0.4:  # the cost switch: p up to 6e4
+                t = round(10 ** rng.uniform(1, 4.8)) / ratio
+            p, kwargs, method = round(ratio * t), _budget(rng), "auto"
+            if rng.random() < 0.05:  # the pigeonhole wall, exactly
+                t = float(round(t))
+                p = int(t) + rng.randint(-1, 2)
+            if p - 1 > _EXACT_CAP and p >= 0.5 * t and "exact_budget" not in kwargs:
+                kwargs = {"exact_budget": _EXACT_CAP}  # only a product could answer
+        elif share < 0.7:  # exact, or its refusal over the budget
+            p = int(10 ** rng.uniform(0, 6)) if rng.random() < 0.9 else int(10 ** rng.uniform(8.1, 30))
+            kwargs, method = _budget(rng), "exact"
+        else:  # series at p/t up to 0.7, order-less or at an explicit order
+            p, kwargs, method = round(10 ** rng.uniform(-14, -0.15) * t), {}, "series"
+            if rng.random() < 0.5:
+                kwargs = {"order": rng.randint(2, 120)}
+        yield (t, p, method), kwargs
+
+
+def _records(seed, calls):
+    """Every record of the sweep, each a list of fields."""
+    rng = random.Random(seed)
+    for args, kwargs in [*_forward_calls(rng, calls), *_EDGES]:
+        yield ["prob", *args, *sorted(kwargs.items()), *_answer(collision_probability, *args, **kwargs)]
+    for _ in range(calls // 10):
+        target = rng.choice([rng.random(), 1 - 10 ** -rng.uniform(1, 15), 10 ** -rng.uniform(1, 15)])
+        t, p = _space(rng), round(10 ** rng.uniform(0.3, 15))
+        percent, world = 100 * rng.random(), round(10 ** rng.uniform(0.3, 10))
+        yield ["solve-p", t, target, *_answer(solve_population, t, target)]
+        yield ["solve-t", p, target, *_answer(solve_space, p, target)]
+        yield ["world", percent, world, *_answer(space_for_world_overlap, percent, world)]
+    cities = load_bundled_cities()
+    for space in (2**36, 2**47, 1e12, 2**64):
+        for entry in rop_table(cities, space):
+            rec, res = entry.record, entry.result
+            yield ["table", space, rec.name, rec.population, res.probability, res.log_survival,
+                   res.method, res.abs_error_bound, res.order, entry.display]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--calls", type=int, default=10_000, help="forward calls; solves are calls // 10 each")
+    parser.add_argument("--dump", action="store_true", help="print every record before the digest")
+    args = parser.parse_args(argv)
+    print(f"ropcalc from {ropcalc.__file__}", file=sys.stderr)
+    digest, count = hashlib.sha256(), 0
+    for record in _records(args.seed, args.calls):
+        line = " ".join(map(_field, record))
+        if args.dump:
+            print(line)
+        digest.update(line.encode("utf-8") + b"\n")
+        count += 1
+    print(f"{count} records, sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
