@@ -5,7 +5,8 @@ solve-t (the two inverse problems), rop-table (render a population table),
 and curve (probability samples for plotting).  Structured output (json or
 csv) carries the library floats verbatim; text output is for reading.
 
-Exit codes: 0 on success, 2 for malformed arguments, 3 for domain or
+Exit codes: 0 on success, 1 when stdout is closed before the output is
+written (as by ``| head``), 2 for malformed arguments, 3 for domain or
 input-data errors.
 """
 
@@ -13,8 +14,11 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
+from array import array
+from itertools import islice
 
 from .collision import AUTO, DomainError, _as_count, _power, as_space_size, collision_probability
 from .rop import (
@@ -85,17 +89,23 @@ _space_arg = _arg_type(parse_space_expr)
 _count_arg = _arg_type(parse_count_expr)
 
 
-def _emit(fmt, payload, columns, text):
-    """Print ``payload`` (a dict or a list of row dicts) as json, the
-    ``columns`` of each row as csv, or the ``text`` lines.
+def _emit(fmt, rows, columns, text):
+    """Write ``rows`` (one row dict, or an iterable of them, each written as it
+    comes) as json, the ``columns`` of each row as csv, or the ``text`` lines.
 
     Floats keep their repr.  Strict JSON has no Infinity, so a guaranteed
     repeat's -inf becomes null there; csv writes -inf, and None as empty.
     """
-    rows = payload if isinstance(payload, list) else [payload]
+    one = isinstance(rows, dict)
+    rows = [rows] if one else rows
     if fmt == "json":
-        rows = [{k: None if v == -math.inf else v for k, v in row.items()} for row in rows]
-        print(json.dumps(rows if isinstance(payload, list) else rows[0]))
+        rows = ({k: None if v == -math.inf else v for k, v in row.items()} for row in rows)
+        # a dumps per 1024 rows, brackets stripped and joined by ", ": the bytes of one dumps
+        chunks = iter(lambda: json.dumps(list(islice(rows, 1024)))[1:-1], "")
+        sys.stdout.write(("" if one else "[") + next(chunks, ""))
+        for chunk in chunks:
+            sys.stdout.write(", " + chunk)
+        print("" if one else "]")
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
@@ -151,16 +161,11 @@ def _cmd_solve_t(args):
     _emit(args.format, payload, list(payload), text)
 
 
-def _load_dataset(spec_text, delimiter):
-    if spec_text in BUNDLED_DATASETS:
-        return load_bundled_cities()
-    return load_populations(spec_text, delimiter=delimiter)
-
-
 def _cmd_rop_table(args):
-    records = _load_dataset(args.dataset, args.delimiter)
+    records = (load_bundled_cities() if args.dataset in BUNDLED_DATASETS
+               else load_populations(args.dataset, delimiter=args.delimiter))
     entries = rop_table(records, as_space_size(args.space))
-    payload = [
+    rows = (
         {
             "name": e.record.name,
             "population": e.record.population,
@@ -169,14 +174,14 @@ def _cmd_rop_table(args):
             "display": e.display,
         }
         for e in entries
-    ]
+    )
     name_w = max(len("name"), max(len(e.record.name) for e in entries))
     pop_w = max(len("population"), max(len(f"{e.record.population:,}") for e in entries))
     text = [f"{'name':<{name_w}}  {'population':>{pop_w}}  overlap"] + [
         f"{e.record.name:<{name_w}}  {e.record.population:>{pop_w},}  {e.display}"
         for e in entries
     ]
-    _emit(args.format, payload, ["name", "population", "probability", "display"], text)
+    _emit(args.format, rows, ["name", "population", "probability", "display"], text)
 
 
 def _cmd_curve(args):
@@ -187,32 +192,16 @@ def _cmd_curve(args):
         float(args.p_max)  # the samples are spaced in floats, up to p_max itself
     except OverflowError:
         raise DomainError(f"--p-max must be at most {sys.float_info.max!r}, the float range") from None
-    payload = []
-    for i in range(args.samples):
-        p = round(i * args.p_max / (args.samples - 1))
-        payload.append({"population": p, "probability": collision_probability(space, p).probability})
-    text = [f"{row['population']}\t{row['probability']!r}" for row in payload]
-    _emit(args.format, payload, ["population", "probability"], text)
 
+    def population(i):
+        return round(i * args.p_max / (args.samples - 1))
 
-def _add_format(parser):
-    parser.add_argument(
-        "--format",
-        choices=("text", "csv", "json"),
-        default="text",
-        help="output format (default text)",
-    )
-
-
-def _add_space(parser, required=True, default=None, help_extra=""):
-    parser.add_argument(
-        "-t",
-        "--space",
-        type=_space_arg,
-        required=required,
-        default=default,
-        help="space size: plain, scientific, or base^exp form" + help_extra,
-    )
+    # every sample is evaluated before any is written, so a refusal prints nothing
+    probs = array("d", (collision_probability(space, population(i)).probability
+                        for i in range(args.samples)))
+    rows = ({"population": population(i), "probability": q} for i, q in enumerate(probs))
+    text = (f"{population(i)}\t{q!r}" for i, q in enumerate(probs))
+    _emit(args.format, rows, ["population", "probability"], text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,26 +210,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Repeat probabilities for uniform draws from very large spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options that several subcommands share, each declared once
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "csv", "json"), default="text",
+                     help="output format (default text)")
+    space_help = "space size: plain, scientific, or base^exp form"
+    space = argparse.ArgumentParser(add_help=False)
+    space.add_argument("-t", "--space", type=_space_arg, required=True, help=space_help)
 
-    p_prob = sub.add_parser("prob", help="probability that a population repeats a value")
-    _add_space(p_prob)
+    p_prob = sub.add_parser("prob", parents=[fmt, space],
+                            help="probability that a population repeats a value")
     p_prob.add_argument("-p", "--population", type=_count_arg, required=True,
                         help="number of draws (separators and 1.4e7 style accepted)")
     p_prob.add_argument("--method", choices=("exact", "series", "auto"), default=AUTO,
                         help="evaluation route (default auto)")
     p_prob.add_argument("--order", type=_count_arg, default=None,
                         help="series truncation order (series method only)")
-    _add_format(p_prob)
     p_prob.set_defaults(func=_cmd_prob)
 
-    p_solvep = sub.add_parser("solve-p", help="smallest population reaching a target probability")
-    _add_space(p_solvep)
+    p_solvep = sub.add_parser("solve-p", parents=[fmt, space],
+                              help="smallest population reaching a target probability")
     p_solvep.add_argument("--target", type=float, required=True,
                           help="target probability in (0, 1)")
-    _add_format(p_solvep)
     p_solvep.set_defaults(func=_cmd_solve_p)
 
-    p_solvet = sub.add_parser("solve-t", help="space size pinning a target probability")
+    p_solvet = sub.add_parser("solve-t", parents=[fmt],
+                              help="space size pinning a target probability")
     p_solvet.add_argument("-p", "--population", "--phi", type=_count_arg,
                           default=DEFAULT_WORLD_POPULATION,
                           help="number of draws (default 8.2e9, the world population)")
@@ -248,27 +243,25 @@ def build_parser() -> argparse.ArgumentParser:
                           help="target probability in (0, 1)")
     p_solvet.add_argument("--tolerance", type=float, default=1e-9,
                           help="relative tolerance on the space size (default 1e-9)")
-    _add_format(p_solvet)
     p_solvet.set_defaults(func=_cmd_solve_t)
 
-    p_table = sub.add_parser("rop-table", help="overlap table for a population dataset")
+    p_table = sub.add_parser("rop-table", parents=[fmt],
+                             help="overlap table for a population dataset")
     p_table.add_argument("--dataset", default="us_cities",
                          help="path to a name/population table, or the bundled "
                               f"name(s): {', '.join(BUNDLED_DATASETS)} (default)")
     p_table.add_argument("--delimiter", choices=(",", ";", "\t"), default=None,
                          help="field delimiter (default: auto-detect)")
-    _add_space(p_table, required=False, default=parse_space_expr("2^36"),
-               help_extra=" (default 2^36, the classic fingerprint estimate)")
-    _add_format(p_table)
+    p_table.add_argument("-t", "--space", type=_space_arg, default=parse_space_expr("2^36"),
+                         help=space_help + " (default 2^36, the classic fingerprint estimate)")
     p_table.set_defaults(func=_cmd_rop_table)
 
-    p_curve = sub.add_parser("curve", help="sample the probability curve up to --p-max")
-    _add_space(p_curve)
+    p_curve = sub.add_parser("curve", parents=[fmt, space],
+                             help="sample the probability curve up to --p-max")
     p_curve.add_argument("--p-max", type=_count_arg, required=True,
                          help="largest population to sample")
     p_curve.add_argument("--samples", type=_count_arg, default=101,
                          help="number of evenly spaced samples (default 101)")
-    _add_format(p_curve)
     p_curve.set_defaults(func=_cmd_curve)
 
     return parser
@@ -279,6 +272,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the recipe of Python's signal docs: the flush at exit then goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DomainError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return _DOMAIN_EXIT

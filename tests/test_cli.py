@@ -270,6 +270,26 @@ class TestRopTable:
         assert json.loads(out)[0]["population"] == 8_419_600
 
 
+def _child_env():
+    """The environment of a child interpreter that imports the ropcalc under test."""
+    paths = [os.path.dirname(os.path.dirname(ropcalc.__file__)), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def _peak_rss_kib(*argv):
+    """Peak RSS of a fresh interpreter that runs main(argv) with stdout on devnull: its own
+    RUSAGE_SELF, since RUSAGE_CHILDREN here keeps the peak of every child any test started.
+    ru_maxrss is in KiB on Linux."""
+    child = ("import resource, sys; from ropcalc.cli import main; code = main(sys.argv[1:]); "
+             "sys.stdout.flush(); "
+             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", child, *argv], stdout=subprocess.DEVNULL,
+                         stderr=subprocess.PIPE, text=True, env=_child_env(), timeout=120)
+    code, peak = out.stderr.split()
+    assert code == "0", out.stderr
+    return int(peak)
+
+
 class TestCurve:
     def test_csv_curve(self, capsys):
         code, out, _ = run(
@@ -304,6 +324,14 @@ class TestCurve:
         _, out, _ = run(capsys, "curve", "-t", "365", "--p-max", "100", "--format", "json")
         assert len(json.loads(out)) == 101
 
+    def test_long_json_curve_is_one_dumps_of_its_rows(self, capsys):
+        # json rows are encoded 1,024 at a time; past two chunk boundaries the bytes are still
+        # those of one json.dumps of the whole list
+        code, out, _ = run(capsys, "curve", "-t", "2^47", "--p-max", "4e7", "--samples", "2049",
+                           "--format", "json")
+        rows = json.loads(out)
+        assert code == 0 and len(rows) == 2049 and out == json.dumps(rows) + "\n"
+
     @pytest.mark.parametrize("samples, rows", [("1,001", 1001), ("4.0", 4), ("1e1", 10)])
     def test_samples_is_read_as_a_count(self, capsys, samples, rows):
         code, out, _ = run(capsys, "curve", "-t", "365", "--p-max", "30",
@@ -329,6 +357,19 @@ class TestCurve:
         rows = json.loads(out)
         assert code == 0 and [r["population"] for r in rows] == [0, round(p_max / 2), p_max]
         assert [r["probability"] for r in rows] == [0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_refusal_mid_curve_prints_nothing(self, capsys, fmt):
+        # the last sample, 3e8, is a pigeonhole answer and 2e8 is refused: the refused
+        # samples are not closed upward in p, so only evaluating all of them first finds it
+        code, out, err = run(capsys, "curve", "-t", "2e8", "--p-max", "3e8", "--samples", "4",
+                             "--format", fmt)
+        assert code == 3 and out == "" and "exact product needs 199999999 factors" in err
+
+    def test_memory_stays_flat_as_output_grows(self):
+        # 5e4 rows held as dicts took 60 MB against 28 MB for 101 rows
+        argv = ["curve", "-t", "365", "--p-max", "30", "--format", "json", "--samples"]
+        assert _peak_rss_kib(*argv, "5e4") - _peak_rss_kib(*argv, "101") <= 8 * 1024
 
 
 class TestExitCodes:
@@ -522,6 +563,23 @@ def test_python_m_runs_the_cli():
     out = subprocess.run([sys.executable, "-m", "ropcalc.cli", "prob", "-t", "365", "-p", "23",
                           "--format", "json"], capture_output=True, text=True, env=env)
     assert out.returncode == 0 and out.stdout == _GOLDEN[0][1]["json"], out.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [{"PYTHONUNBUFFERED": "1"}, {}],
+                         ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_one_quietly(unbuffered):
+    # as `ropcalc curve ... | head -1`: the reader takes one line and closes the pipe, which
+    # was reported as "error: [Errno 32] Broken pipe" with the domain-error exit 3
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    env.update(unbuffered)
+    argv = ["-m", "ropcalc.cli", "curve", "-t", "365", "--p-max", "30", "--samples", "1e4"]
+    with subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"0\t0.0\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
 
 
 # Answers of the kernels and solvers, frozen as the --format json payloads the

@@ -163,15 +163,15 @@ class TestSolvePopulation:
 
     @pytest.mark.parametrize("t, target", [(1.387e28, 0.99944), (5e29, 0.9995)])
     def test_tied_secant_gallops_down_from_its_hit(self, probes, t, target):
-        # two secant probes tie near probability 1 and leave no miss; bisecting
-        # from 1 took 51 and 54 probes here, galloping down from the hit takes few
+        # the float probability is flat here, so two probes of it tie near 1 and leave no
+        # miss; bisecting from 1 took 51 and 54 probes, the secant on log_survival takes few
         answer = solve_population(t, target)
         assert len(probes) <= 15
         assert collision_probability(t, answer - 1).probability < target
         assert collision_probability(t, answer).probability >= target
 
     def test_tied_secant_answers_are_frozen(self):
-        # frozen: the answers of the bisection from 1 that the gallop replaced
+        # frozen: the answers of an integer bisection from 1, the first p reaching each target
         rng = random.Random(20261018)
         cases = [(round(_log_uniform(rng, 1e26, 1e30)), 1 - _log_uniform(rng, 6e-7, 6e-4))
                  for _ in range(12)]

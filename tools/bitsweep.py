@@ -4,9 +4,10 @@ Evaluates a seeded set of forward calls, solves and tables over the
 documented domain and prints one line: the record count and a sha256 over
 every record.  A record holds each input and each answer field, a float by
 its ``.hex()`` and anything else by its repr, or a refusal by its type and
-message.  Two ropcalc versions answer bit for bit alike on the sweep when
-they print the same line; ``--dump`` prints the records first, so two runs
-can be diffed.
+message.  CLI runs are recorded too: argv, format, exit code, stdout and
+stderr, the output by its repr.  Two ropcalc versions answer bit for bit
+alike on the sweep when they print the same line; ``--dump`` prints the
+records first, so two runs can be diffed.
 
 It uses whatever ``ropcalc`` is importable, so one script compares two
 checkouts, each run in its own process:
@@ -16,16 +17,22 @@ checkouts, each run in its own process:
 
 Cover (default ``--calls 10000``): 4,000 auto, 3,000 exact and 3,000 series
 calls with t in [1, 1e30] and random budgets and orders, 37 calls at the edges,
-``calls // 10`` solves of each kind, and the bundled table at 2^36, 2^47,
-1e12 and 2^64.  Takes a few seconds.
+``calls // 10`` solves of each kind, the bundled table at 2^36, 2^47,
+1e12 and 2^64, and in each of the CLI's three formats 10 fixed runs (the
+frozen-output argvs of tests/test_cli.py, the table on the bundled cities;
+``rop-table -t 1e9``; a curve refused in its middle; a 2,049-sample curve)
+and ``calls // 100`` seeded curves of up to 1,000 samples.  Takes a few seconds.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import random
 import sys
 
 import ropcalc
+import ropcalc.cli
 from ropcalc import (
     DomainError,
     collision_probability,
@@ -57,6 +64,22 @@ _EDGES = [
     ((2**60, 2**60), {}), ((2**60, 2**60 + 1), {}), ((2.0**60, 2**60 + 1), {}), ((365, 366), {}),
 ]
 
+# CLI runs at the edges: the frozen-output argvs, the table also at 1e9, a curve whose sample
+# 2e8 is refused though its last, 3e8, is a pigeonhole answer, and the paper's curve at 2^47
+# in 2,049 samples, past two of the 1,024-row chunks that json output is encoded in.
+_CLI_ARGVS = [
+    ["prob", "-t", "365", "-p", "23"],
+    ["prob", "-t", "2^47", "-p", "1.4e7", "--method", "series", "--order", "3"],
+    ["prob", "-t", "10", "-p", "11"],
+    ["solve-p", "-t", "365", "--target", "0.5"],
+    ["solve-t", "-p", "1000", "--target", "0.5"],
+    ["rop-table", "-t", "1000"],
+    ["curve", "-t", "365", "--p-max", "30", "--samples", "4"],
+    ["rop-table", "-t", "1e9"],
+    ["curve", "-t", "2e8", "--p-max", "3e8", "--samples", "4"],
+    ["curve", "-t", "2^47", "--p-max", "4e7", "--samples", "2049"],
+]
+
 
 def _field(value) -> str:
     return value.hex() if isinstance(value, float) else repr(value)
@@ -71,6 +94,14 @@ def _answer(fn, *args, **kwargs) -> list:
     if isinstance(out, ropcalc.EvalResult):
         return [out.probability, out.log_survival, out.method, out.abs_error_bound, out.order]
     return [out.value if isinstance(out, ropcalc.SpaceSize) else out]
+
+
+def _cli(argv) -> list:
+    """Exit code, stdout and stderr of one CLI run, in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = ropcalc.cli.main(argv)
+    return [code, out.getvalue(), err.getvalue()]
 
 
 def _space(rng) -> "float | int":
@@ -108,6 +139,16 @@ def _forward_calls(rng, calls):
         yield (t, p, method), kwargs
 
 
+def _curve_argvs(rng, curves):
+    """argv of ``curves`` curves of 2 to 1,000 samples, up to p_max from 1e-6 t to 3 t."""
+    for _ in range(curves):
+        reach, t = 10 ** rng.uniform(-6, 0.5), _space(rng)
+        while reach >= 0.5 and 1e4 < t < 2.1e8:  # samples of 1e4 to 1e8 product factors
+            t = _space(rng)
+        p_max, samples = max(1, round(reach * t)), round(10 ** rng.uniform(0.31, 3))
+        yield ["curve", "-t", str(t), "--p-max", str(p_max), "--samples", str(samples)]
+
+
 def _records(seed, calls):
     """Every record of the sweep, each a list of fields."""
     rng = random.Random(seed)
@@ -126,6 +167,9 @@ def _records(seed, calls):
             rec, res = entry.record, entry.result
             yield ["table", space, rec.name, rec.population, res.probability, res.log_survival,
                    res.method, res.abs_error_bound, res.order, entry.display]
+    for argv in [*_CLI_ARGVS, *_curve_argvs(rng, calls // 100)]:
+        for fmt in ("text", "csv", "json"):
+            yield ["cli", *argv, fmt, *_cli([*argv, "--format", fmt])]
 
 
 def main(argv=None) -> int:
