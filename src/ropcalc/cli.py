@@ -186,15 +186,12 @@ def _cmd_rop_table(args):
 
 def _cmd_curve(args):
     space = as_space_size(args.space)
-    _as_count(args.samples, "--samples", 2)
-    _as_count(args.p_max, "--p-max", 1)
-    try:
-        float(args.p_max)  # the samples are spaced in floats, up to p_max itself
-    except OverflowError:
-        raise DomainError(f"--p-max must be at most {sys.float_info.max!r}, the float range") from None
+    n = _as_count(args.samples, "--samples", 2) - 1
+    p_max = _as_count(args.p_max, "--p-max", 1)
 
-    def population(i):
-        return round(i * args.p_max / (args.samples - 1))
+    def population(i):  # i * p_max / n, rounded half to even in exact integers
+        q, r = divmod(i * p_max, n)
+        return q + (2 * r > n or 2 * r == n and q % 2)
 
     # every sample is evaluated before any is written, so a refusal prints nothing
     probs = array("d", (collision_probability(space, population(i)).probability

@@ -55,17 +55,18 @@ __all__ = [
 MAX_SPACE = 1e30
 
 # Auto gives up on the O(p) product above this many factors unless told
-# otherwise; 1e8 log1p evaluations complete in a few seconds.
+# otherwise; 1e8 log1p evaluations take about half a second.
 DEFAULT_EXACT_BUDGET = 10**8
-
-# The certified geometric tail bound needs the term ratio to stay below 1
-# with margin; refuse the series above this draw/space ratio.
-_SERIES_MAX_RATIO = 0.5
 
 # Highest series order: an order-less scan stops here at the latest, and an
 # explicit order above it is refused.  A scan at k needs power sums 1..k+1 and
 # Pascal rows up to k+2; rows to the cap hold about 5 MB for the process's life.
 _MAX_ORDER = 512
+
+# The series' wall: an order-less scan at p/t = x is predicted to stop at order
+# 1 + _LOG_STOP / ln x (see _pick), which reaches _MAX_ORDER at x ~ 0.95464.
+_LOG_STOP = math.log(5e-11)
+_SERIES_MAX_RATIO = math.exp(_LOG_STOP / (_MAX_ORDER - 1))
 
 # Fixed block length for the exact product sum.  Blocks are summed with
 # numpy's pairwise reduction and combined with ``math.fsum``, so the
@@ -97,7 +98,7 @@ class IterationBudgetError(DomainError, RuntimeError):
 
 
 class SeriesBoundError(DomainError):
-    """The series truncation bound is not certified for these arguments."""
+    """p/t is too close to 1 for the series: its scan would pass its order cap."""
 
 
 @dataclass(frozen=True)
@@ -282,17 +283,17 @@ def _prob_bound(v: float, tail: float) -> float:
 def _series_scan(t: float, p: int, order=None):
     """Series terms 1..k plus the first omitted term.
 
-    Refuses p/t >= 1/2, where the geometric tail bound is not certified.
-    A fixed ``order`` sets k.  With ``order=None`` k grows from 2 until the
-    truncation bound tail = omitted term / (1 - p/t) is at most the share
-    _ROUNDING_UNIT of |value| that reported bounds already carry: at most
-    ~45 orders for p/t < 1/2, usually 2 to 4.  Returns (value, tail, k),
-    the log-survival estimate, its truncation bound, and the order.
+    Refuses p/t >= _SERIES_MAX_RATIO, where an order-less scan would pass _MAX_ORDER.
+    As S_{k+1}(m) <= m S_k(m) for m = p - 1, each term is at most p/t times the one
+    before, so tail = omitted term / (1 - p/t) bounds the truncation for any p/t < 1.
+    A fixed ``order`` sets k; with ``order=None`` k grows from 2 until tail is at most the
+    share _ROUNDING_UNIT of |value| that reported bounds carry: 35 orders at p/t = 1/2, 410
+    at 0.95, usually 2 to 4.  Returns (value, tail, k): the estimate, its bound, the order.
     """
     ratio = p / t  # finite: the caller settles p - 1 >= t first
     if ratio >= _SERIES_MAX_RATIO:
-        raise SeriesBoundError(f"series bound is not certified for p/t = {ratio:.3g} >= 1/2; "
-                               "use the exact method")
+        raise SeriesBoundError(f"p/t = {ratio:.4g} is at least {_SERIES_MAX_RATIO:.4g}, where the "
+                               f"series would pass its order cap of {_MAX_ORDER}; use the exact method")
     log_t = math.log(t)
     geom = 1.0 / (1.0 - ratio)
     sums = _power_sums(p - 1)
@@ -310,24 +311,25 @@ def _series_scan(t: float, p: int, order=None):
     return -math.fsum(terms), omitted * geom, k
 
 
-_AUTO_SERIES_RATIO = 1e-4
+_AUTO_SERIES_RATIO, _AUTO_FIT_RATIO = 1e-4, 0.5
 _AUTO_FACTORS_PER_ORDER2, _AUTO_FACTORS_BASE = 48, 200
-_LOG_STOP = math.log(5e-11)
 
 
 def _pick(t: float, p: int, budget: int) -> str:
-    """Auto's route for 1 < p < t + 1: the series if p/t <= 1e-4, or if p/t < 1/2 and the
-    product's p - 1 factors pass min(budget, 48 k**2 + 200); the product otherwise.  A cold
-    scan to order k = 1 + ln(5e-11) / ln(p/t) costs about as much as 48 k**2 + 200 factors,
-    the fit with the least summed cold cost over p in [10, 6e4] by p/t in [1e-4, 1/2) (README).
-    k is the order where a scan's terms, ~x**k / (k (k + 1)) of the value at x = p/t, reach its
-    1e-13 stop share: 4.4, 11.3 and 30.7 at x = 1e-3, 0.1 and 0.45 against real stops 4, 12, 31.
+    """Auto's route for 1 < p < t + 1: the series if p/t <= 1e-4, or if p/t < _SERIES_MAX_RATIO
+    and the product's p - 1 factors pass the budget or, where p/t < 1/2, 48 k**2 + 200; the
+    product otherwise.  A cold scan to order k = 1 + ln(5e-11) / ln(p/t) costs about as much as
+    48 k**2 + 200 factors, the fit with the least summed cold cost over p in [10, 6e4] by p/t in
+    [1e-4, 1/2) (README), the only range it is used in.  k is the order where a scan's terms,
+    ~x**k / (k (k + 1)) of the value at x = p/t, reach its 1e-13 stop share: 4.4, 11.3, 30.7 and
+    463 at x = 1e-3, 0.1, 0.45 and 0.95 against real stops 4, 12, 31 and 410.
     """
     ratio = p / t
     if not _AUTO_SERIES_RATIO < ratio < _SERIES_MAX_RATIO:
         return SERIES if ratio <= _AUTO_SERIES_RATIO else EXACT
     k = 1.0 + _LOG_STOP / math.log(ratio)
-    return SERIES if p - 1 > min(budget, _AUTO_FACTORS_PER_ORDER2 * k * k + _AUTO_FACTORS_BASE) else EXACT
+    cost = _AUTO_FACTORS_PER_ORDER2 * k * k + _AUTO_FACTORS_BASE if ratio < _AUTO_FIT_RATIO else budget
+    return SERIES if p - 1 > min(budget, cost) else EXACT
 
 
 def collision_probability(
@@ -335,11 +337,11 @@ def collision_probability(
 ) -> EvalResult:
     """Probability that p uniform draws over t values repeat at least once.
 
-    ``method`` is "exact", "series", or "auto".  Auto takes the series where
-    it is certified (p/t < 1/2) and either p/t <= 1e-4 or it is predicted
-    cheaper than the exact product within ``exact_budget``, and the product
-    otherwise; README gives the fitted cost rule.  The series grows its order
-    until the truncation bound on ``log_survival`` is at most 1e-13 of it.
+    ``method`` is "exact", "series", or "auto".  Auto takes the series where p/t <=
+    1e-4, and below the series' order-cap wall (p/t ~ 0.95464) where the product would
+    pass ``exact_budget`` or, below p/t = 1/2, where the series is predicted cheaper;
+    the product otherwise.  README gives the fitted cost rule.  The series grows its
+    order until the truncation bound on ``log_survival`` is at most 1e-13 of it.
 
     Two short circuits need no iteration at all: p <= 1 gives probability
     exactly 0, and p >= t + 1 gives probability exactly 1 (some value must

@@ -109,8 +109,6 @@ def solve_population(t, target) -> int:
     target under that evaluator.
     """
     space = as_space_size(t)
-    if space.value < 2:
-        raise DomainError("population solves need a space of at least 2 values")
     goal = _as_target(target).target_prob
 
     # The guaranteed-repeat cutoff bounds the search: probability is 1 there,

@@ -27,6 +27,7 @@ from ropcalc import (
     solve_space,
     space_for_world_overlap,
 )
+from ropcalc.collision import _SERIES_MAX_RATIO
 
 SEED = 20260816
 
@@ -174,7 +175,7 @@ def test_criterion_5_route_cross_validation():
             series = collision_probability(t, p, "series", order=6)
         except SeriesBoundError:
             refusals += 1
-            if p / t < 0.5:
+            if p / t < _SERIES_MAX_RATIO:
                 failures.append(f"series refused inside its certified zone: t={t}, p={p}")
             continue
         diff = abs(exact.probability - series.probability)

@@ -339,9 +339,22 @@ class TestCurve:
         payload = json.loads(out)
         assert code == 0 and len(payload) == rows and payload[-1]["population"] == 30
 
-    def test_p_max_beyond_float_range_is_three(self, capsys):
-        code, out, err = run(capsys, "curve", "-t", "1e30", "--p-max", "9" * 400, "--samples", "3")
-        assert code == 3 and out == "" and err.startswith("error: --p-max") and "float" in err
+    def test_p_max_beyond_float_range_ends_at_p_max(self, capsys):
+        # samples are i * p_max / 2 rounded half to even in exact integers: (10**400 - 1) / 2
+        # ends in .5 after an odd digit, so it rounds up to 5 * 10**399
+        p_max = 10**400 - 1
+        code, out, _ = run(capsys, "curve", "-t", "1e30", "--p-max", str(p_max), "--samples", "3",
+                           "--format", "json")
+        rows = json.loads(out)
+        assert code == 0 and [r["population"] for r in rows] == [0, 5 * 10**399, p_max]
+        assert [r["probability"] for r in rows] == [0.0, 1.0, 1.0]
+
+    def test_samples_past_2_pow_53_are_exact(self, capsys):
+        # as floats, 2**60 + 1 is 2**60, and the curve once ended at ...976
+        code, out, _ = run(capsys, "curve", "-t", "1e30", "--p-max", "1,152,921,504,606,846,977",
+                           "--samples", "3", "--format", "csv")
+        assert code == 0 and out.splitlines()[1:] == [
+            "0,0.0", "576460752303423488,1.0", "1152921504606846977,1.0"]
 
     @pytest.mark.parametrize("samples, p_max, refusal", [
         ("1", "30", "--samples must be >= 2, got 1"), ("3", "0", "--p-max must be >= 1, got 0"),

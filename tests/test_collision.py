@@ -195,14 +195,14 @@ class TestSurvivalLogExact:
 
     @pytest.mark.parametrize("method", ["auto", "exact"])
     def test_dense_over_budget_refusals_agree(self, method):
-        # p/t = 2/3 is over the budget and too dense for the series, so no
+        # p/t = 0.976 is over the budget and past the series' wall, so no
         # route may send the caller to the series, which would refuse too
-        t, p = 3e8, 2 * 10**8
+        t, p = 2.05e8, 2 * 10**8
         with pytest.raises(IterationBudgetError) as info:
             collision_probability(t, p, method)
         message = str(info.value)
         assert "199999999 factors" in message and "100000000" in message
-        assert "p/t = 0.667" in message and "use the series" not in message
+        assert "p/t = 0.976" in message and "use the series" not in message
 
     def test_fractional_space_accepts_extra_draw(self):
         # 11 draws from 10.5 "values" still leaves every factor positive
@@ -370,8 +370,9 @@ class TestSurvivalLogSeries:
         assert abs(r.log_survival - math.log1p(-1e-30)) <= r.abs_error_bound
 
     def test_refuses_uncertified_ratio(self):
-        with pytest.raises(SeriesBoundError):
-            collision_probability(100, 51, "series", order=6)
+        # p/t = 0.96 is past the wall, where an order-less scan would pass the order cap
+        with pytest.raises(SeriesBoundError, match="order cap of 512"):
+            collision_probability(100, 96, "series", order=6)
 
     def test_order_validation(self):
         with pytest.raises(DomainError):
@@ -530,7 +531,7 @@ class TestCollisionProbability:
 
     def test_auto_over_budget_dense_space_errors(self):
         with pytest.raises(IterationBudgetError):
-            collision_probability(3e8, 2 * 10**8, exact_budget=10**6)
+            collision_probability(2.05e8, 2 * 10**8, exact_budget=10**6)
 
     def test_series_bound_floor_reflects_rounding(self, galton_space):
         # bounds include an accumulation allowance, so they never collapse
@@ -709,6 +710,72 @@ class TestAutoCrossover:
                 truth = fsum_survival_log(t, q)
                 assert abs(r.log_survival - truth) <= 1e-13 * (1 + abs(truth)), (t, q)
                 assert abs(r.probability + math.expm1(truth)) <= r.abs_error_bound + 2**-50, (t, q)
+
+
+WALL = collision._SERIES_MAX_RATIO
+
+
+class TestSeriesWall:
+    """From p/t = 1/2 to the wall, where an order-less scan's predicted stop reaches the order
+    cap, the series answers the calls that the product's budget refuses."""
+
+    def test_the_wall_is_where_the_predicted_stop_reaches_the_cap(self):
+        assert 1 + collision._LOG_STOP / math.log(WALL) == pytest.approx(collision._MAX_ORDER, rel=1e-12)
+        t = 1e12
+        p = math.ceil(WALL * t)
+        assert (p - 1) / t < WALL <= p / t
+        # the prediction overshoots near the wall, so the last scan below it stops under the cap
+        v, tail, k = _series_scan(t, p - 1)
+        assert k < collision._MAX_ORDER and tail <= 1e-13 * abs(v)
+        assert [collision._pick(t, q, 10) for q in (p - 1, p)] == ["series", "exact"]
+        with pytest.raises(SeriesBoundError, match=r"^p/t = 0\.9546 is at least 0\.9546"):
+            collision_probability(t, p, "series")
+
+    def test_order_less_calls_below_the_wall_are_within_bounds_of_mpmath(self):
+        # auto over a small budget and the explicit series, alternately, at t log-uniform
+        # in [1e2, 1e30] and p/t uniform in [1/2, wall)
+        rng = random.Random(23)
+        calls = 0
+        for _ in range(320):
+            t = 10 ** rng.uniform(2, 30)
+            p = round(rng.uniform(0.5, WALL) * t)
+            if not 0.5 <= p / t < WALL:  # rounding p can leave the range at small t
+                continue
+            r = (collision_probability(t, p, exact_budget=10) if calls % 2
+                 else collision_probability(t, p, "series"))
+            truth = lgamma_survival_log(t, p)
+            assert r.method == "series" and r.order < collision._MAX_ORDER, (t, p)
+            assert abs(r.log_survival - truth) <= 2e-13 * abs(truth), (t, p)
+            assert abs(r.probability + math.expm1(truth)) <= r.abs_error_bound + 2**-52, (t, p)
+            calls += 1
+        assert calls >= 300
+
+    @pytest.mark.parametrize("t, p", [(100, 50), (1e6, 700_000), (2**40, 2**39 * 1.8), (1e30, 9.5e29)])
+    def test_explicit_low_orders_stay_within_their_bounds(self, t, p):
+        p = int(p)
+        truth = -math.expm1(lgamma_survival_log(t, p))
+        for order in (2, 5, 20, 100):
+            r = collision_probability(t, p, "series", order=order)
+            assert abs(r.probability - truth) <= r.abs_error_bound, (t, p, order)
+
+    @pytest.mark.parametrize("budget", [10, 100, 1000, 10**4])
+    def test_monotone_across_the_budget_switch(self, budget):
+        # p - 1 = budget is the last product; one more draw passes the budget and takes the series
+        p = budget + 2
+        for x in (0.5, 0.6, 0.75, 0.9, 0.95, 0.954):
+            t = p / x
+            a = collision_probability(t, p - 1, exact_budget=budget)
+            b = collision_probability(t, p, exact_budget=budget)
+            assert (a.method, b.method) == ("exact", "series"), (t, p)
+            assert a.probability <= b.probability and a.log_survival >= b.log_survival, (t, p)
+
+    @pytest.mark.parametrize("t", [1e10, 1.2e10, 2**33])
+    def test_the_world_repeats_a_value(self, t):
+        # 8.2e9 people in 1e10 values, 1.2e10 or 2**33 (p/t 0.9546, just below the wall)
+        r = collision_probability(t, 8_200_000_000)
+        truth = lgamma_survival_log(t, 8_200_000_000)
+        assert (r.method, r.probability) == ("series", 1.0)
+        assert abs(r.log_survival - truth) <= 2e-13 * abs(truth)
 
 
 def test_numpy_loads_on_the_first_exact_call():

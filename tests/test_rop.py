@@ -220,7 +220,7 @@ class TestRopTable:
 
         # over the exact budget with too dense a ratio for the series
         with pytest.raises(IterationBudgetError, match="record 'Everyone'"):
-            rop_table([PopulationRecord("Everyone", 200_000_000)], 300_000_000)
+            rop_table([PopulationRecord("Everyone", 200_000_000)], 205_000_000)
 
 
 class TestPopulationRecord:

@@ -127,9 +127,11 @@ class TestSolvePopulation:
         # space 1 is degenerate, so use a tiny space and huge target instead
         assert solve_population(2, SolveTarget(0.49)) == 2
 
-    def test_rejects_space_below_two(self):
-        with pytest.raises(DomainError, match="at least 2 values"):
-            solve_population(1.5, 0.5)
+    def test_answers_spaces_below_two(self):
+        # one value repeats at the second draw; over 1.5 values the second draw repeats
+        # with probability 1/1.5 and the third surely, so a target above 2/3 needs 3
+        assert [solve_population(1, q) for q in (1e-12, 0.5, 1 - 1e-12)] == [2, 2, 2]
+        assert [solve_population(1.5, q) for q in (0.5, 0.6, 0.7, 0.9)] == [2, 2, 3, 3]
 
     def test_tiny_target_still_needs_two(self):
         assert solve_population(365, SolveTarget(1e-12)) == 2

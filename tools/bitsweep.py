@@ -16,12 +16,14 @@ checkouts, each run in its own process:
     PYTHONPATH=src python tools/bitsweep.py
 
 Cover (default ``--calls 10000``): 4,000 auto, 3,000 exact and 3,000 series
-calls with t in [1, 1e30] and random budgets and orders, 37 calls at the edges,
-``calls // 10`` solves of each kind, the bundled table at 2^36, 2^47,
-1e12 and 2^64, and in each of the CLI's three formats 10 fixed runs (the
-frozen-output argvs of tests/test_cli.py, the table on the bundled cities;
-``rop-table -t 1e9``; a curve refused in its middle; a 2,049-sample curve)
-and ``calls // 100`` seeded curves of up to 1,000 samples.  Takes a few seconds.
+calls with t in [1, 1e30] and random budgets and orders, 41 calls at the edges,
+``calls // 10`` solves of each kind and one over 1.5 values, the bundled table at
+2^36, 2^47, 1e12 and 2^64, and in each of the CLI's three formats 11 fixed runs
+(the frozen-output argvs of tests/test_cli.py, the table on the bundled cities;
+``rop-table -t 1e9``; a curve refused in its middle; a 2,049-sample curve; a curve
+to 2^60 + 1) and ``calls // 100`` seeded curves of up to 1,000 samples.  Takes
+under a minute, most of it in the seeded curves whose samples near p/t = 0.95
+take the series at orders in the hundreds.
 """
 
 import argparse
@@ -47,7 +49,8 @@ from ropcalc import (
 # for at most this many unless its budget refuses it first.
 _EXACT_CAP = 10**6
 
-# Calls at the edges: one of each refusal, and auto's switches and the pigeonhole wall hit exactly.
+# Calls at the edges: one of each refusal, and auto's switches, the series' wall (p/t ~ 0.95464)
+# and the pigeonhole wall hit exactly.
 _EDGES = [
     ((0, 5), {}), ((1e31, 5), {}), ((float("nan"), 5), {}), ((True, 5), {}), (("365", 5), {}),
     ((2**100, 5), {}), ((365, -1), {}), ((365, 2.5), {}), ((365, True), {}), ((365, "23"), {}),
@@ -62,11 +65,14 @@ _EDGES = [
     ((1e6, 10**7, "series"), {}), ((1e6, 10**7, "exact"), {"exact_budget": 0}),
     ((1000, 500, "exact"), {"exact_budget": 10}), ((1000, 500), {}), ((1e5, 10), {}),
     ((2**60, 2**60), {}), ((2**60, 2**60 + 1), {}), ((2.0**60, 2**60 + 1), {}), ((365, 366), {}),
+    ((1000, 954, "series"), {}), ((1000, 955, "series"), {}),
+    ((1000, 954), {"exact_budget": 10}), ((1000, 955), {"exact_budget": 10}),
 ]
 
 # CLI runs at the edges: the frozen-output argvs, the table also at 1e9, a curve whose sample
-# 2e8 is refused though its last, 3e8, is a pigeonhole answer, and the paper's curve at 2^47
-# in 2,049 samples, past two of the 1,024-row chunks that json output is encoded in.
+# 2e8 is refused though its last, 3e8, is a pigeonhole answer, the paper's curve at 2^47
+# in 2,049 samples, past two of the 1,024-row chunks that json output is encoded in, and a
+# curve whose samples pass 2^53.
 _CLI_ARGVS = [
     ["prob", "-t", "365", "-p", "23"],
     ["prob", "-t", "2^47", "-p", "1.4e7", "--method", "series", "--order", "3"],
@@ -78,6 +84,7 @@ _CLI_ARGVS = [
     ["rop-table", "-t", "1e9"],
     ["curve", "-t", "2e8", "--p-max", "3e8", "--samples", "4"],
     ["curve", "-t", "2^47", "--p-max", "4e7", "--samples", "2049"],
+    ["curve", "-t", "1e30", "--p-max", "1,152,921,504,606,846,977", "--samples", "3"],
 ]
 
 
@@ -127,8 +134,9 @@ def _forward_calls(rng, calls):
             if rng.random() < 0.05:  # the pigeonhole wall, exactly
                 t = float(round(t))
                 p = int(t) + rng.randint(-1, 2)
+            # no product over the cap: past it the series answers, or past its wall the budget refuses
             if p - 1 > _EXACT_CAP and p >= 0.5 * t and "exact_budget" not in kwargs:
-                kwargs = {"exact_budget": _EXACT_CAP}  # only a product could answer
+                kwargs = {"exact_budget": _EXACT_CAP}
         elif share < 0.7:  # exact, or its refusal over the budget
             p = int(10 ** rng.uniform(0, 6)) if rng.random() < 0.9 else int(10 ** rng.uniform(8.1, 30))
             kwargs, method = _budget(rng), "exact"
@@ -154,6 +162,7 @@ def _records(seed, calls):
     rng = random.Random(seed)
     for args, kwargs in [*_forward_calls(rng, calls), *_EDGES]:
         yield ["prob", *args, *sorted(kwargs.items()), *_answer(collision_probability, *args, **kwargs)]
+    yield ["solve-p", 1.5, 0.9, *_answer(solve_population, 1.5, 0.9)]
     for _ in range(calls // 10):
         target = rng.choice([rng.random(), 1 - 10 ** -rng.uniform(1, 15), 10 ** -rng.uniform(1, 15)])
         t, p = _space(rng), round(10 ** rng.uniform(0.3, 15))
