@@ -14,9 +14,9 @@ trillions, so everything is evaluated through the log of the survival
   the block sums with the correctly rounded ``math.fsum``.  Cost is O(p).
 * "series" expands each log1p term as a power series and swaps the order
   of summation, which turns the whole sum into a handful of cumulative
-  power sums, each computed exactly in integer arithmetic from the lower
-  orders.  Cost grows with the order, not with p, and the truncation
-  error carries a certified bound.
+  power sums: the first three from exact integer closed forms, the rest
+  from Faulhaber's formula in floats.  Cost is O(1) per order, whatever p,
+  and the truncation error carries a certified bound.
 
 "auto", the default, picks between them by cost.
 
@@ -27,12 +27,9 @@ on libm, the series route's on libm only.  All public functions are pure
 and safe for concurrent use.
 """
 
-import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from operator import mul
 
 __all__ = [
     "DomainError",
@@ -59,8 +56,8 @@ MAX_SPACE = 1e30
 DEFAULT_EXACT_BUDGET = 10**8
 
 # Highest series order: an order-less scan stops here at the latest, and an
-# explicit order above it is refused.  A scan at k needs power sums 1..k+1 and
-# Pascal rows up to k+2; rows to the cap hold about 5 MB for the process's life.
+# explicit order above it is refused.  Orders cost O(1) each, so what the cap does
+# is define the series' wall: the p/t past which a scan would need more orders.
 _MAX_ORDER = 512
 
 # The series' wall: an order-less scan at p/t = x is predicted to stop at order
@@ -225,41 +222,47 @@ def _survival_log_product(t: float, p: int) -> float:
     return math.fsum(blocks)
 
 
-# --- exact cumulative power sums ------------------------------------------
+# --- series terms -----------------------------------------------------------
 
-@functools.cache
-def _pascal(n: int) -> tuple:
-    """C(n, 0..n), exactly.  A pure function of n, so threads that race to build a row
-    store equal rows."""
-    return tuple(map(math.comb, itertools.repeat(n), range(n + 1)))
+# B_2j / (2j)! for j = 1..12: Faulhaber's coefficients (DLMF 24.4(iii)), rounded to double.
+# Each term they weigh is at most ~(k / 2 pi m)**2 of the one before, so for m > k the first
+# left out, B_26's, is below 2**-68 of the bracket that holds them.
+_FAULHABER = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05, -8.267195767195768e-07,
+    2.08767569878681e-08, -5.284190138687493e-10, 1.3382536530684679e-11, -3.3896802963225827e-13,
+    8.586062056277845e-15, -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+)
 
 
-def _power_sums(m: int):
-    """S_1(m), S_2(m), ... in turn: S_j(m), the sum of n**j for n = 1..m, exact with no loop over n.
+def _series_terms(t: float, m: int):
+    """T_k = S_k(m) / (k t**k) for k = 1..513 in turn, S_k(m) = 1**k + ... + m**k, at O(1) per k.
 
-    S_1..S_3 come from the closed forms S_1 = m(m+1)/2, S_2 = S_1(2m+1)/3 and S_3 = S_1**2.
-    Above them, Pascal's identity summed over n = 1..m gives (m+1)**(j+1) - 1 = sum_{i=0..j}
-    C(j+1, i) S_i(m), and C(j+1, j) = j+1 leaves S_j(m) the one unknown: one dot product of
-    a Pascal row with the lower sums, made only when the caller asks for S_j(m)."""
+    T_1..T_3 round the exact closed forms S_1 = m(m+1)/2, S_2 = S_1(2m+1)/3 and S_3 = S_1**2.
+    Above them, while m > k, Faulhaber's formula in floats with y = m/t:
+        T_k = y**k (m/(k+1) + 1/2 + sum_{j<=k/2} B_2j/(2j)! k(k-1)...(k-2j+2) / m**(2j-1)) / k,
+    whose sum stops once a term no longer moves it; once m <= k, the direct sum of (n/t)**k.
+    A term is within k + 8 ulps of the exact one while it and y**k are normal floats (at worst
+    0.46 (k + 8) over TestSeriesTerm's grid, m = 1..1e13).  The terms where k is large
+    are ~1e-13 of the value where an order-less scan stops, so their error stays far inside
+    the _ROUNDING_UNIT (1 + |v|) that _prob_bound allows.
+    """
     s1 = m * (m + 1) // 2
-    sums = [m, s1, s1 * (2 * m + 1) // 3, s1 * s1]  # S_k(m) at index k, S_0(m) = m
-    yield from sums[1:]
-    for j in itertools.count(4):
-        s, r = divmod((m + 1) ** (j + 1) - 1 - sum(map(mul, _pascal(j + 1), sums)), j + 1)
-        if r:
-            raise AssertionError(f"power sum came out non-integral for k={j}, m={m}")
-        sums.append(s)
-        yield s
-
-
-def _series_term(s: int, k: int, t: float, log_t: float) -> float:
-    """Value of s / (k * t**k) for the power sum s = S_k(m), overflow-safe."""
-    # Direct evaluation while numerator and denominator both fit in floats;
-    # otherwise fall back to log space (t**k overflows doubles long before
-    # the term itself stops mattering; math.log takes an int of any size).
-    if s.bit_length() <= 1000 and k * log_t <= 690.0:
-        return float(s) / (k * t**k)
-    return math.exp(math.log(s) - math.log(k) - k * log_t)
+    for k, s in enumerate((s1, s1 * (2 * m + 1) // 3, s1 * s1), 1):
+        yield float(s) / (k * t**k)
+    mf = float(m)
+    y, m2 = mf / t, mf * mf
+    for k in range(4, _MAX_ORDER + 2):
+        if m <= k:
+            yield math.fsum((n / t) ** k for n in range(1, m + 1)) / k
+            continue
+        b, c = mf / (k + 1) + 0.5, k / mf
+        for i, coeff in enumerate(_FAULHABER[:k // 2]):
+            x = coeff * c
+            if b + x == b:
+                break
+            b += x
+            c *= (k - 2 * i - 1) * (k - 2 * i - 2) / m2
+        yield y**k * b / k
 
 
 def _prob_bound(v: float, tail: float) -> float:
@@ -294,18 +297,17 @@ def _series_scan(t: float, p: int, order=None):
     if ratio >= _SERIES_MAX_RATIO:
         raise SeriesBoundError(f"p/t = {ratio:.4g} is at least {_SERIES_MAX_RATIO:.4g}, where the "
                                f"series would pass its order cap of {_MAX_ORDER}; use the exact method")
-    log_t = math.log(t)
     geom = 1.0 / (1.0 - ratio)
-    sums = _power_sums(p - 1)
-    terms = [_series_term(next(sums), 1, t, log_t)]
+    series = _series_terms(t, p - 1)
+    terms = [next(series)]
     # The stop test reads a plain running sum: builtin sum() compensates since
     # Python 3.12, and the stop order must not depend on the Python version.
     running = terms[0]
-    omitted = _series_term(next(sums), 2, t, log_t)
+    omitted = next(series)
     for k in range(2, (order or _MAX_ORDER) + 1):
         terms.append(omitted)
         running += omitted
-        omitted = _series_term(next(sums), k + 1, t, log_t)
+        omitted = next(series)
         if order is None and omitted * geom <= _ROUNDING_UNIT * running:
             break
     return -math.fsum(terms), omitted * geom, k
@@ -322,7 +324,9 @@ def _pick(t: float, p: int, budget: int) -> str:
     48 k**2 + 200 factors, the fit with the least summed cold cost over p in [10, 6e4] by p/t in
     [1e-4, 1/2) (README), the only range it is used in.  k is the order where a scan's terms,
     ~x**k / (k (k + 1)) of the value at x = p/t, reach its 1e-13 stop share: 4.4, 11.3, 30.7 and
-    463 at x = 1e-3, 0.1, 0.45 and 0.95 against real stops 4, 12, 31 and 410.
+    463 at x = 1e-3, 0.1, 0.45 and 0.95 against real stops 4, 12, 31 and 410.  The fit timed
+    big-int power sums at O(k) per order, so it now overstates the series' cost; it stays as
+    fitted, so routes stay as they were, until a cheaper route replaces this rule.
     """
     ratio = p / t
     if not _AUTO_SERIES_RATIO < ratio < _SERIES_MAX_RATIO:

@@ -2,12 +2,15 @@
 
 These deliberately avoid the library's own evaluation paths: the rational
 oracle multiplies exact fractions, one log oracle uses math.fsum over
-individually computed log1p terms, and the other takes a log-gamma
-difference in mpmath.  Agreement between an oracle and the
-library is therefore evidence, not tautology.
+individually computed log1p terms, the other takes a log-gamma difference
+in mpmath, and the power sums come from Pascal's identity in exact
+integers where the library's series takes Faulhaber's formula in floats.
+Agreement between an oracle and the library is therefore evidence, not
+tautology.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -40,6 +43,21 @@ def lgamma_survival_log(t: float, p: int) -> float:
     with mpmath.workdps(60 + 2 * len(str(int(t)))):
         t = mpmath.mpf(t)
         return float(mpmath.loggamma(t) - mpmath.loggamma(t - p + 1) - (p - 1) * mpmath.log(t))
+
+
+def power_sums(m: int, upto: int) -> list:
+    """S_0(m)..S_upto(m), S_k(m) = 1**k + ... + m**k, exactly and with no loop over n.
+
+    Pascal's identity summed over n = 1..m gives (m+1)**(j+1) - 1 = sum_{i=0..j} C(j+1, i) S_i(m),
+    and C(j+1, j) = j+1 leaves S_j(m) the one unknown, known once the lower sums are.
+    """
+    sums, row = [m], [1, 1]
+    for j in range(1, upto + 1):
+        row = [1, *map(operator.add, row, row[1:]), 1]  # C(j+1, 0..j+1), from the row above
+        s, r = divmod((m + 1) ** (j + 1) - 1 - sum(map(operator.mul, row, sums)), j + 1)
+        assert r == 0, (j, m)
+        sums.append(s)
+    return sums
 
 
 def assert_same_space(space, value: float):

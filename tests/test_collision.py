@@ -6,13 +6,14 @@ brute force) and are frozen here as literals.
 """
 
 import dataclasses
-import itertools
+import functools
 import math
 import os
 import random
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -38,7 +39,9 @@ from ropcalc import (
 from ropcalc import collision
 from ropcalc.collision import _series_scan, _survival_log_product
 
-from conftest import assert_same_space, fsum_survival_log, lgamma_survival_log, rational_collision
+from conftest import (
+    assert_same_space, fsum_survival_log, lgamma_survival_log, power_sums, rational_collision,
+)
 
 # frozen: float of the exact rational 1 - 365!/(342! * 365^23)
 B_365_23 = 0.5072972343239854
@@ -210,45 +213,51 @@ class TestSurvivalLogExact:
         assert math.isfinite(v) and v < -10
 
 
-def _power_sum(k, m):
-    """Exact sum of n**k for n = 1..m (k >= 1), the k-th value the generator yields."""
-    return next(itertools.islice(collision._power_sums(m), k - 1, None))
+def _recording_orders(monkeypatch):
+    """Orders of every series term the scans evaluate from now on, in turn.
+
+    The kernel yields one term per order, evaluated only when the scan asks for it."""
+    orders, terms = [], collision._series_terms
+
+    def recording(t, m):
+        for k, term in enumerate(terms(t, m), 1):
+            orders.append(k)
+            yield term
+
+    monkeypatch.setattr(collision, "_series_terms", recording)
+    return orders
 
 
-def _recording_divmod(monkeypatch):
-    """Divisors of every divmod the power sums make from now on: j + 1 for order j."""
-    divisors = []
+@functools.cache
+def _exact_sums(m):
+    """S_0(m)..S_513(m) from the exact oracle, once per m: the order cap plus the omitted order."""
+    return power_sums(m, collision._MAX_ORDER + 1)
 
-    def recording(a, b):
-        divisors.append(b)
-        return divmod(a, b)
 
-    monkeypatch.setattr(collision, "divmod", recording, raising=False)
-    return divisors
+def _ulps_off(term, k, t, s):
+    """|term - s / (k t**k)| in units of 2**-52 of the exact s / (k t**k), in exact integers:
+    with t = tn/td and term = gn/gd, the relative error is (gn k tn**k - s gd td**k) / (s gd td**k)."""
+    tn, td = t.as_integer_ratio()
+    gn, gd = term.as_integer_ratio()
+    exact = s * gd * td**k
+    return (abs(gn * k * tn**k - exact) << 52) / exact
 
 
 class TestPowerSum:
+    """The exact oracle: S_k(m) from Pascal's identity, against brute force and modular sums."""
+
     @pytest.mark.parametrize("k", range(1, 13))
     def test_matches_brute_force(self, k):
         for m in (1, 2, 3, 7, 50, 201):
-            assert _power_sum(k, m) == sum(n**k for n in range(1, m + 1))
+            assert power_sums(m, 12)[k] == sum(n**k for n in range(1, m + 1))
 
     def test_closed_forms_at_scale(self):
         m = 10**13
-        assert _power_sum(1, m) == m * (m + 1) // 2
-        assert _power_sum(2, m) == m * (m + 1) * (2 * m + 1) // 6
-        assert _power_sum(3, m) == (m * (m + 1) // 2) ** 2
+        assert power_sums(m, 3)[1:] == [m * (m + 1) // 2, m * (m + 1) * (2 * m + 1) // 6,
+                                        (m * (m + 1) // 2) ** 2]
 
     def test_zero_range(self):
-        assert _power_sum(5, 0) == 0
-
-    def test_a_wrong_pascal_row_is_an_internal_error(self, monkeypatch):
-        # C(5, 0) = 2 in place of 1 takes S_0(3) = 3 more off 5 * S_4(3) = 490,
-        # and 487 is no multiple of 5
-        monkeypatch.setattr(collision, "_pascal",
-                            lambda n: (2, *map(math.comb, [n] * n, range(1, n + 1))))
-        with pytest.raises(AssertionError, match="non-integral for k=4, m=3"):
-            _power_sum(4, 3)
+        assert power_sums(0, 5)[5] == 0
 
     @pytest.mark.parametrize("q", [10_007, 65_521])
     def test_high_order_huge_m_against_modular_oracle(self, q):
@@ -261,33 +270,32 @@ class TestPowerSum:
             return ((m // q) * period_sum(q) + period_sum(m % q)) % q
 
         m = 10**13 + 12_345
-        sums = list(itertools.islice(collision._power_sums(m), 513))
+        sums = _exact_sums(m)
         for k in (513, 13, 64, 200, 511, 512):
-            assert sums[k - 1] % q == oracle(k, m)
+            assert sums[k] % q == oracle(k, m)
 
     def test_cold_scan_at_the_cap_computes_each_order_once(self, monkeypatch):
-        # the scan at the order cap needs orders 1..513 of one m; orders 1..3
-        # come from closed forms and each higher order j divides by j + 1 once.
-        # No sum outlives its scan, so the same population costs the same again.
-        divisors = _recording_divmod(monkeypatch)
+        # the scan at the order cap needs terms 1..513 of one m, each evaluated once.
+        # No term outlives its scan, so the same population costs the same again.
+        orders = _recording_orders(monkeypatch)
         first = _series_scan(1e12, 10**6, 512)
-        assert divisors == list(range(5, 515))
+        assert orders == list(range(1, 514))
         assert _series_scan(1e12, 10**6, 512) == first
-        assert divisors == 2 * list(range(5, 515))
+        assert orders == 2 * list(range(1, 514))
 
     def test_cold_order_less_scan_holds_no_order_past_its_stop(self, monkeypatch):
-        # sums are made only as the scan asks for them, so a scan that stops
-        # at k computes S_1..S_{k+1}: divisions for orders 4..k+1 and no more
-        divisors = _recording_divmod(monkeypatch)
+        # terms are made only as the scan asks for them, so a scan that stops
+        # at k evaluates terms 1..k+1 and no more
+        orders = _recording_orders(monkeypatch)
         rng = random.Random(4000)
         cases = [(p / x, p) for p in (2, 3, 5, 9) for x in (0.3, 0.45, 0.4999)]
         for _ in range(400):
             p = int(10 ** rng.uniform(0.31, 12))
             cases.append((p / 10 ** rng.uniform(-6, math.log10(0.4999)), p))
         for t, p in cases:
-            divisors.clear()
+            orders.clear()
             k = _series_scan(t, p)[2]
-            assert divisors == list(range(5, k + 3)), (t, p)
+            assert orders == list(range(1, k + 2)), (t, p)
 
     def test_concurrent_cold_scans_match_a_single_thread(self):
         # four threads share some populations and keep others to themselves,
@@ -307,8 +315,7 @@ class TestPowerSum:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
         try:
-            for _ in range(3):  # each round races to build the Pascal rows afresh
-                collision._pascal.cache_clear()
+            for _ in range(3):
                 results, barrier = [None] * 4, threading.Barrier(4, timeout=60)
 
                 def worker(i):
@@ -324,6 +331,22 @@ class TestPowerSum:
                 assert results == expected
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestSeriesTerm:
+    """Every float term of the series against the exact S_k(m) / (k t**k)."""
+
+    @pytest.mark.parametrize("m, t", [
+        (m, m / y) for m in (1, 2, 8, 25, 100, 256, 257, 411, 512, 10**6, 2**53 + 1, 10**13)
+        for y in (0.3, 0.95)] + [(8, 31.4)])
+    def test_every_order_within_its_ulp_budget(self, m, t):
+        # orders 1..513 at m/t = 0.3 and 0.95: m = 256, 257, 411 and 512 put m = k - 1, k and
+        # k + 1 around odd and even k, where the kernel turns from Faulhaber's formula to the
+        # direct sum; (31.4, 8) once showed an extra Bernoulli term at odd k as a 6e-8 error
+        terms = list(collision._series_terms(t, m))
+        assert len(terms) == collision._MAX_ORDER + 1
+        for k, term in enumerate(terms, 1):
+            assert _ulps_off(term, k, t, _exact_sums(m)[k]) <= k + 8, (m, t, k)
 
 
 class TestSurvivalLogSeries:
@@ -356,15 +379,17 @@ class TestSurvivalLogSeries:
             assert abs(v - truth) <= bound + 1e-13 * (1 + abs(truth))
 
     def test_log_space_fallback_for_huge_powers(self):
-        # t^k overflows a double from k = 16 here; the term switches to logs
+        # t^k would overflow a double from k = 16 here (the name is from when such terms
+        # took logs); the terms form (m/t)^k instead, which stays below 1
         t = 1e20
         v, bound = _series_scan(t, 10**6, 40)[:2]
         assert v == pytest.approx(fsum_survival_log(t, 10**6), rel=1e-12)
         assert bound >= 0.0
 
     def test_log_space_term_of_a_small_power_sum(self):
-        # p = 2 gives S_k(1) = 1, and k ln t passes the direct form's 690 from k = 10,
-        # so terms 10..13 take the log of a one-bit integer; frozen as first computed
+        # p = 2 gives S_k(1) = 1, so terms 4..13 are the direct sums (1/t)^k / k, far past
+        # where t^k overflows (the name is from when they took the log of a one-bit integer);
+        # frozen as first computed
         r = collision_probability(1e30, 2, "series", order=12)
         assert r.log_survival.hex() == "-0x1.4484bfeebc29fp-100"
         assert abs(r.log_survival - math.log1p(-1e-30)) <= r.abs_error_bound
@@ -390,8 +415,7 @@ class TestSurvivalLogSeries:
         assert r == collision_probability(1e9, 10, "series", order=6)
 
     def test_order_above_the_cap_is_refused(self):
-        # the cap bounds the Pascal rows memoised for the process's life:
-        # about 5 MB once a scan at order 512 has built rows up to 514
+        # the cap defines the series' wall: an order-less scan is predicted to reach it there
         assert collision_probability(1e12, 10**6, "series", order=512).log_survival < 0.0
         with pytest.raises(DomainError, match="at most 512, got 513"):
             collision_probability(1e12, 10**6, "series", order=513)
@@ -768,6 +792,19 @@ class TestSeriesWall:
             b = collision_probability(t, p, exact_budget=budget)
             assert (a.method, b.method) == ("exact", "series"), (t, p)
             assert a.probability <= b.probability and a.log_survival >= b.log_survival, (t, p)
+
+    @pytest.mark.parametrize("t, p, order", [(1e9, 950_000_000, 410), (2**33, 8_200_000_000, 451)])
+    def test_scans_near_the_wall_take_milliseconds(self, t, p, order):
+        # hundreds of orders at O(1) each take well under 50 ms (best of 3)
+        truth = lgamma_survival_log(t, p)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            r = collision_probability(t, p, "series")
+            times.append(time.perf_counter() - start)
+        assert r.order == order and min(times) < 0.05, times
+        assert abs(r.log_survival - truth) <= 2e-13 * abs(truth)
+        assert abs(r.probability + math.expm1(truth)) <= r.abs_error_bound + 2**-52
 
     @pytest.mark.parametrize("t", [1e10, 1.2e10, 2**33])
     def test_the_world_repeats_a_value(self, t):
