@@ -50,6 +50,7 @@ __all__ = [
 # Largest supported space size.  Beyond this the closed-form routes would
 # need guard rails we have not validated, so inputs are rejected.
 MAX_SPACE = 1e30
+_MAX_SPACE_INT = int(MAX_SPACE)
 
 # Auto gives up on the O(p) product above this many factors unless told
 # otherwise; 1e8 log1p evaluations take about half a second.
@@ -114,19 +115,25 @@ class SpaceSize:
             raise DomainError(f"space size must be from 1 to 1e30, got {self.value!r}")
 
 
+def _as_space(t) -> float:
+    """Read a space size: an int (numpy's too), a float or a SpaceSize, from 1 to 1e30, as a float.
+    The one reader: as_space_size wraps what it reads, collision_probability reads it bare."""
+    if isinstance(t, SpaceSize):
+        return t.value
+    if isinstance(t, bool) or not isinstance(t, (float, int, numbers.Integral)):
+        raise DomainError("space size must be a number, not bool" if isinstance(t, bool) else
+                          f"space size must be int, float, or SpaceSize, got {type(t).__name__}")
+    if not isinstance(t, float) and abs(t := int(t)) > _MAX_SPACE_INT:  # exact: float(t) may be 1e30
+        raise DomainError(f"space size of {t.bit_length()} bits exceeds the supported maximum 1e30")
+    t = float(t)  # a plain float also from numpy's: p - 1 >= t must compare int against float exactly
+    if not 1.0 <= t <= MAX_SPACE:  # NaN fails every comparison
+        raise DomainError(f"space size must be from 1 to 1e30, got {t!r}")
+    return t
+
+
 def as_space_size(t) -> SpaceSize:
     """Coerce an int (numpy's too), float, or SpaceSize into a validated SpaceSize."""
-    if isinstance(t, SpaceSize):
-        return t
-    if isinstance(t, bool):
-        raise DomainError("space size must be a number, not bool")
-    if not isinstance(t, (int, float)):
-        if not isinstance(t, numbers.Integral):
-            raise DomainError(f"space size must be int, float, or SpaceSize, got {type(t).__name__}")
-        t = int(t)
-    if isinstance(t, int) and abs(t) > int(MAX_SPACE):  # exactly: float(t) may round to 1e30, or overflow
-        raise DomainError(f"space size of {t.bit_length()} bits exceeds the supported maximum 1e30")
-    return SpaceSize(float(t))
+    return t if isinstance(t, SpaceSize) else SpaceSize(_as_space(t))
 
 
 def _power(base: int, exp: int) -> int:
@@ -241,6 +248,7 @@ def _series_terms(t: float, m: int):
     Above them, while m > k, Faulhaber's formula in floats with y = m/t:
         T_k = y**k (m/(k+1) + 1/2 + sum_{j<=k/2} B_2j/(2j)! k(k-1)...(k-2j+2) / m**(2j-1)) / k,
     whose sum stops once a term no longer moves it; once m <= k, the direct sum of (n/t)**k.
+    The sum walks _FAULHABER with no slice per k, taking the falling factorial two factors a step.
     A term is within k + 8 ulps of the exact one while it and y**k are normal floats (at worst
     0.46 (k + 8) over TestSeriesTerm's grid, m = 1..1e13).  The terms where k is large
     are ~1e-13 of the value where an order-less scan stops, so their error stays far inside
@@ -250,18 +258,19 @@ def _series_terms(t: float, m: int):
     for k, s in enumerate((s1, s1 * (2 * m + 1) // 3, s1 * s1), 1):
         yield float(s) / (k * t**k)
     mf = float(m)
-    y, m2 = mf / t, mf * mf
+    y, m2, coeffs = mf / t, mf * mf, _FAULHABER
     for k in range(4, _MAX_ORDER + 2):
         if m <= k:
             yield math.fsum((n / t) ** k for n in range(1, m + 1)) / k
             continue
-        b, c = mf / (k + 1) + 0.5, k / mf
-        for i, coeff in enumerate(_FAULHABER[:k // 2]):
+        b, c, d = mf / (k + 1) + 0.5, k / mf, k - 1
+        for coeff in coeffs:  # while 2j <= k, that is while d = k - 2j + 1 >= 1
             x = coeff * c
-            if b + x == b:
+            if d < 1 or b + x == b:
                 break
             b += x
-            c *= (k - 2 * i - 1) * (k - 2 * i - 2) / m2
+            c *= d * (d - 1) / m2
+            d -= 2
         yield y**k * b / k
 
 
@@ -284,7 +293,7 @@ def _prob_bound(v: float, tail: float) -> float:
 
 
 def _series_scan(t: float, p: int, order=None):
-    """Series terms 1..k plus the first omitted term.
+    """Series terms 1..k plus the first omitted term, each evaluated once as one for loop reaches it.
 
     Refuses p/t >= _SERIES_MAX_RATIO, where an order-less scan would pass _MAX_ORDER.
     As S_{k+1}(m) <= m S_k(m) for m = p - 1, each term is at most p/t times the one
@@ -299,17 +308,16 @@ def _series_scan(t: float, p: int, order=None):
                                f"series would pass its order cap of {_MAX_ORDER}; use the exact method")
     geom = 1.0 / (1.0 - ratio)
     series = _series_terms(t, p - 1)
-    terms = [next(series)]
+    terms = [next(series), next(series)]
     # The stop test reads a plain running sum: builtin sum() compensates since
     # Python 3.12, and the stop order must not depend on the Python version.
-    running = terms[0]
-    omitted = next(series)
-    for k in range(2, (order or _MAX_ORDER) + 1):
+    running, k, last = terms[0] + terms[1], 2, order or _MAX_ORDER
+    for omitted in series:  # never runs dry: the series yields one term past the cap
+        if k == last or order is None and omitted * geom <= _ROUNDING_UNIT * running:
+            break
         terms.append(omitted)
         running += omitted
-        omitted = next(series)
-        if order is None and omitted * geom <= _ROUNDING_UNIT * running:
-            break
+        k += 1
     return -math.fsum(terms), omitted * geom, k
 
 
@@ -351,7 +359,7 @@ def collision_probability(
     exactly 0, and p >= t + 1 gives probability exactly 1 (some value must
     repeat once every value has been seen).
     """
-    t = as_space_size(t).value
+    t = _as_space(t)
     p = _as_count(p)
     exact_budget = _as_count(exact_budget, "exact budget")
     if method not in (EXACT, SERIES, AUTO):

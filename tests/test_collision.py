@@ -7,6 +7,7 @@ brute force) and are frozen here as literals.
 
 import dataclasses
 import functools
+import hashlib
 import math
 import os
 import random
@@ -139,6 +140,42 @@ class TestSpaceSize:
     def test_idempotent(self):
         s = as_space_size(42)
         assert as_space_size(s) is s
+
+    @pytest.mark.parametrize("t, expected", [
+        (int(1e30), 1e30), (int(1e30) + 1, "space size of 100 bits exceeds the supported maximum 1e30"),
+        (10**30 + 1, 1e30), (2**100, "space size of 101 bits exceeds the supported maximum 1e30"),
+        (1e30, 1e30), (0.5, "space size must be from 1 to 1e30, got 0.5"),
+        (-5, "space size must be from 1 to 1e30, got -5.0"),
+        (float("nan"), "space size must be from 1 to 1e30, got nan"),
+        (float("inf"), "space size must be from 1 to 1e30, got inf"),
+        (True, "space size must be a number, not bool"),
+        ("365", "space size must be int, float, or SpaceSize, got str"),
+        (np.int64(365), 365.0), (SpaceSize(2.0**36), 2.0**36), (np.float64(365.0), 365.0),
+        (np.float64(1e31), "space size must be from 1 to 1e30, got 1e+31"),
+    ], ids=repr)
+    def test_spaces_read_as_frozen(self, t, expected):
+        # frozen from before collision_probability and as_space_size shared one reader: the plain
+        # float a space reads as, or the message it is refused with, alike from both;
+        # int(1e30) + 1 is refused although float() rounds it to 1e30
+        if isinstance(expected, str):
+            for read in (as_space_size, lambda t: collision_probability(t, 2)):
+                with pytest.raises(DomainError) as info:
+                    read(t)
+                assert type(info.value) is DomainError and str(info.value) == expected
+            return
+        value = as_space_size(t).value
+        assert type(value) is float and value == expected
+        r = collision_probability(t, 2)
+        assert r == collision_probability(expected, 2)
+        assert all(type(x) is float for x in (r.probability, r.log_survival, r.abs_error_bound))
+
+    @pytest.mark.parametrize("method, refusal", [("auto", IterationBudgetError), ("series", SeriesBoundError)])
+    def test_numpy_float_space_meets_the_pigeonhole_wall_exactly(self, method, refusal):
+        # np.float64 reads as a plain float, so p - 1 >= t compares int against float exactly:
+        # p - 1 = 1e20 - 1 < t, no repeat is forced, and p/t = 1 has no route
+        with pytest.raises(refusal):
+            collision_probability(np.float64(1e20), 10**20, method)
+        assert collision_probability(np.float64(1e20), 10**20 + 1, method).probability == 1.0
 
 
 class TestSurvivalLogExact:
@@ -347,6 +384,42 @@ class TestSeriesTerm:
         assert len(terms) == collision._MAX_ORDER + 1
         for k, term in enumerate(terms, 1):
             assert _ulps_off(term, k, t, _exact_sums(m)[k]) <= k + 8, (m, t, k)
+
+    def test_every_term_is_frozen_bit_for_bit(self):
+        # frozen: sha256 over the hex of all 513 terms at each grid point, from before the
+        # Faulhaber step dropped its per-order slice; any reordered float operation shows here
+        digest = hashlib.sha256()
+        for m in (1, 2, 8, 25, 256, 257, 10**6, 2**53 + 1, 10**13):
+            for y in (0.3, 0.95):
+                for term in collision._series_terms(m / y, m):
+                    digest.update(term.hex().encode() + b"\n")
+        assert digest.hexdigest() == "ec0178521f4e123c42e3a50d8c9402d65ba22f532336f8b17eff1ab37c06e911"
+
+
+# frozen: (value, tail, k) of _series_scan(t, p, order), by hex, from before the scan drove its
+# terms with one for loop; the explicit orders, order-less scans at p = 2 and 3 (direct sums
+# from order 4), and m = p - 1 = 256 and 257 at order 300, either side of k = m where the
+# terms turn from Faulhaber's formula to the direct sum
+_SCAN_SEAMS = [
+    ((2.0**47, 14_000_000, 2), ("-0x1.64859bdb9731cp-1", "0x1.4b029586d8a54p-50", 2)),
+    ((2.0**47, 14_000_000, 3), ("-0x1.64859bdb97326p-1", "0x1.4b75a8a6395f7p-74", 3)),
+    ((2.0**47, 14_000_000, 4), ("-0x1.64859bdb97326p-1", "0x1.70c9e0a4334afp-98", 4)),
+    ((1e9, 950_000_000, 512), ("-0x1.7d924c469870ep+29", "0x1.20ec555c2cc44p-22", 512)),
+    ((3.0, 2, None), ("-0x1.9f323ecbf97cbp-2", "0x1.067bfcf1f1531p-46", 26)),
+    ((1e12, 2, None), ("-0x1.19799812df3bdp-40", "0x1.c5b5b6ee726f4p-122", 2)),
+    ((4.0, 3, None), ("-0x1.f62f40794a628p-1", "0x1.999999999b333p-44", 39)),
+    ((1e12, 3, None), ("-0x1.a636641c4f748p-39", "0x1.fe6c6dcc42ee7p-119", 2)),
+    ((1e4, 257, 300), ("-0x1.a8b740d161689p+1", "0x0.0p+0", 300)),
+    ((1e4, 258, 300), ("-0x1.ac0c66bce334dp+1", "0x0.0p+0", 300)),
+    ((300.0, 257, 300), ("-0x1.58ffa7dc8ebc8p+7", "0x1.2b040a4d42e33p-74", 300)),
+    ((300.0, 258, 300), ("-0x1.5ce2420439cc6p+7", "0x1.efeb98bd826f0p-73", 300)),
+]
+
+
+@pytest.mark.parametrize("args, expected", _SCAN_SEAMS, ids=[repr(args) for args, _ in _SCAN_SEAMS])
+def test_scan_seams_are_frozen(args, expected):
+    value, tail, k = _series_scan(*args)
+    assert (value.hex(), tail.hex(), k) == expected
 
 
 class TestSurvivalLogSeries:

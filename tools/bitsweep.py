@@ -16,13 +16,13 @@ checkouts, each run in its own process:
     PYTHONPATH=src python tools/bitsweep.py
 
 Cover (default ``--calls 10000``): 4,000 auto, 3,000 exact and 3,000 series
-calls with t in [1, 1e30] and random budgets and orders, 41 calls at the edges,
+calls with t in [1, 1e30] and random budgets and orders, 66 calls at the edges,
 ``calls // 10`` solves of each kind and one over 1.5 values, the bundled table at
 2^36, 2^47, 1e12 and 2^64, and in each of the CLI's three formats 11 fixed runs
 (the frozen-output argvs of tests/test_cli.py, the table on the bundled cities;
 ``rop-table -t 1e9``; a curve refused in its middle; a 2,049-sample curve; a curve
 to 2^60 + 1) and ``calls // 100`` seeded curves of up to 1,000 samples.  Takes
-about 4 s on a 2-vCPU Xeon VM.
+about 2.5 s on a 2-vCPU Xeon VM.
 """
 
 import argparse
@@ -32,10 +32,13 @@ import io
 import random
 import sys
 
+import numpy as np
+
 import ropcalc
 import ropcalc.cli
 from ropcalc import (
     DomainError,
+    SpaceSize,
     collision_probability,
     load_bundled_cities,
     rop_table,
@@ -49,7 +52,11 @@ from ropcalc import (
 _EXACT_CAP = 10**6
 
 # Calls at the edges: one of each refusal, and auto's switches, the series' wall (p/t ~ 0.95464)
-# and the pigeonhole wall hit exactly.
+# and the pigeonhole wall hit exactly; spaces on either side of each of the space reader's
+# checks, numpy's float among them, also at the pigeonhole wall; and the series scan's seams:
+# explicit orders 2, 3, 4 and 512, order-less scans at p = 2 and 3 (direct sums from order 4),
+# and m = p - 1 = 256 and 257 at order 300, either side of k = m where the terms turn from
+# Faulhaber's formula to the direct sum.
 _EDGES = [
     ((0, 5), {}), ((1e31, 5), {}), ((float("nan"), 5), {}), ((True, 5), {}), (("365", 5), {}),
     ((2**100, 5), {}), ((365, -1), {}), ((365, 2.5), {}), ((365, True), {}), ((365, "23"), {}),
@@ -66,6 +73,14 @@ _EDGES = [
     ((2**60, 2**60), {}), ((2**60, 2**60 + 1), {}), ((2.0**60, 2**60 + 1), {}), ((365, 366), {}),
     ((1000, 954, "series"), {}), ((1000, 955, "series"), {}),
     ((1000, 954), {"exact_budget": 10}), ((1000, 955), {"exact_budget": 10}),
+    ((int(1e30), 5), {}), ((int(1e30) + 1, 5), {}), ((10**30 + 1, 5), {}), ((1e30, 5), {}),
+    ((0.5, 5), {}), ((-5, 5), {}), ((float("inf"), 5), {}), ((np.int64(365), 5), {}),
+    ((SpaceSize(2.0**36), 5), {}), ((np.float64(365.0), 5), {}), ((np.float64(1e31), 5), {}),
+    ((np.float64(1e20), 10**20), {}), ((np.float64(1e20), 10**20, "series"), {}),
+    *(((2.0**47, 14_000_000, "series"), {"order": k}) for k in (2, 3, 4)),
+    ((1e9, 950_000_000, "series"), {"order": 512}),
+    *(((t, p, "series"), {}) for p in (2, 3) for t in (p + 1.0, 1e12)),
+    *(((t, p, "series"), {"order": 300}) for t in (1e4, 300.0) for p in (257, 258)),
 ]
 
 # CLI runs at the edges: the frozen-output argvs, the table also at 1e9, a curve whose sample
@@ -88,7 +103,7 @@ _CLI_ARGVS = [
 
 
 def _field(value) -> str:
-    return value.hex() if isinstance(value, float) else repr(value)
+    return value.hex() if type(value) is float else repr(value)  # np.float64 shows as itself
 
 
 def _answer(fn, *args, **kwargs) -> list:
