@@ -52,8 +52,8 @@ __all__ = [
 MAX_SPACE = 1e30
 _MAX_SPACE_INT = int(MAX_SPACE)
 
-# Auto gives up on the O(p) product above this many factors unless told
-# otherwise; 1e8 log1p evaluations take about half a second.
+# Most factors the O(p) product may walk, under every method, unless told otherwise:
+# 1e8 log1p evaluations take about half a second.  Auto's route does not read it.
 DEFAULT_EXACT_BUDGET = 10**8
 
 # Highest series order: an order-less scan stops here at the latest, and an
@@ -295,18 +295,14 @@ def _prob_bound(v: float, tail: float) -> float:
 def _series_scan(t: float, p: int, order=None):
     """Series terms 1..k plus the first omitted term, each evaluated once as one for loop reaches it.
 
-    Refuses p/t >= _SERIES_MAX_RATIO, where an order-less scan would pass _MAX_ORDER.
-    As S_{k+1}(m) <= m S_k(m) for m = p - 1, each term is at most p/t times the one
-    before, so tail = omitted term / (1 - p/t) bounds the truncation for any p/t < 1.
-    A fixed ``order`` sets k; with ``order=None`` k grows from 2 until tail is at most the
-    share _ROUNDING_UNIT of |value| that reported bounds carry: 35 orders at p/t = 1/2, 410
-    at 0.95, usually 2 to 4.  Returns (value, tail, k): the estimate, its bound, the order.
+    Needs p/t < _SERIES_MAX_RATIO (the caller refuses the rest).  As S_{k+1}(m) <= m S_k(m)
+    for m = p - 1, each term is at most p/t times the one before, so tail = omitted term /
+    (1 - p/t) bounds the truncation for any p/t < 1.  A fixed ``order`` sets k; with
+    ``order=None`` k grows from 2 until tail is at most the share _ROUNDING_UNIT of |value|
+    that reported bounds carry: 35 orders at p/t = 1/2, 410 at 0.95, usually 2 to 4.
+    Returns (value, tail, k): the estimate, its bound, the order.
     """
-    ratio = p / t  # finite: the caller settles p - 1 >= t first
-    if ratio >= _SERIES_MAX_RATIO:
-        raise SeriesBoundError(f"p/t = {ratio:.4g} is at least {_SERIES_MAX_RATIO:.4g}, where the "
-                               f"series would pass its order cap of {_MAX_ORDER}; use the exact method")
-    geom = 1.0 / (1.0 - ratio)
+    geom = 1.0 / (1.0 - p / t)
     series = _series_terms(t, p - 1)
     terms = [next(series), next(series)]
     # The stop test reads a plain running sum: builtin sum() compensates since
@@ -321,27 +317,25 @@ def _series_scan(t: float, p: int, order=None):
     return -math.fsum(terms), omitted * geom, k
 
 
-_AUTO_SERIES_RATIO, _AUTO_FIT_RATIO = 1e-4, 0.5
-_AUTO_FACTORS_PER_ORDER2, _AUTO_FACTORS_BASE = 48, 200
+_AUTO_SERIES_RATIO, _AUTO_FACTORS_PER_ORDER2, _AUTO_FACTORS_BASE = 1e-4, 48, 200
 
 
-def _pick(t: float, p: int, budget: int) -> str:
-    """Auto's route for 1 < p < t + 1: the series if p/t <= 1e-4, or if p/t < _SERIES_MAX_RATIO
-    and the product's p - 1 factors pass the budget or, where p/t < 1/2, 48 k**2 + 200; the
-    product otherwise.  A cold scan to order k = 1 + ln(5e-11) / ln(p/t) costs about as much as
-    48 k**2 + 200 factors, the fit with the least summed cold cost over p in [10, 6e4] by p/t in
-    [1e-4, 1/2) (README), the only range it is used in.  k is the order where a scan's terms,
-    ~x**k / (k (k + 1)) of the value at x = p/t, reach its 1e-13 stop share: 4.4, 11.3, 30.7 and
-    463 at x = 1e-3, 0.1, 0.45 and 0.95 against real stops 4, 12, 31 and 410.  The fit timed
-    big-int power sums at O(k) per order, so it now overstates the series' cost; it stays as
-    fitted, so routes stay as they were, until a cheaper route replaces this rule.
+def _pick(t: float, p: int) -> str:
+    """Auto's route for 1 < p < t + 1, from t and p alone: the series if p/t <= 1e-4, or if
+    p/t < _SERIES_MAX_RATIO and the product's p - 1 factors pass 48 k**2 + 200; the product
+    otherwise, so at most 48 * 512**2 + 200 ~ 1.26e7 factors below the wall.  A cold scan to
+    order k = 1 + ln(5e-11) / ln(p/t) costs about as much as 48 k**2 + 200 factors: the fit with
+    the least summed cold cost over p in [10, 6e4] by p/t in [1e-4, 1/2) (README), extrapolated
+    above 1/2.  k is where a scan's terms, ~x**k / (k (k + 1)) of the value at x = p/t, reach
+    its 1e-13 stop share: 4.4, 11.3, 30.7 and 463 at x = 1e-3, 0.1, 0.45 and 0.95 against real
+    stops 4, 12, 31 and 410.  The fit timed big-int power sums at O(k) per order, so it
+    overstates the series' cost; it stays until a cheaper route replaces this rule.
     """
     ratio = p / t
     if not _AUTO_SERIES_RATIO < ratio < _SERIES_MAX_RATIO:
         return SERIES if ratio <= _AUTO_SERIES_RATIO else EXACT
     k = 1.0 + _LOG_STOP / math.log(ratio)
-    cost = _AUTO_FACTORS_PER_ORDER2 * k * k + _AUTO_FACTORS_BASE if ratio < _AUTO_FIT_RATIO else budget
-    return SERIES if p - 1 > min(budget, cost) else EXACT
+    return SERIES if p - 1 > _AUTO_FACTORS_PER_ORDER2 * k * k + _AUTO_FACTORS_BASE else EXACT
 
 
 def collision_probability(
@@ -349,11 +343,12 @@ def collision_probability(
 ) -> EvalResult:
     """Probability that p uniform draws over t values repeat at least once.
 
-    ``method`` is "exact", "series", or "auto".  Auto takes the series where p/t <=
-    1e-4, and below the series' order-cap wall (p/t ~ 0.95464) where the product would
-    pass ``exact_budget`` or, below p/t = 1/2, where the series is predicted cheaper;
-    the product otherwise.  README gives the fitted cost rule.  The series grows its
-    order until the truncation bound on ``log_survival`` is at most 1e-13 of it.
+    ``method`` is "exact", "series", or "auto".  Auto reads t and p only: it takes the
+    series where p/t <= 1e-4, and below the series' order-cap wall (p/t ~ 0.95464) where
+    the series is predicted cheaper; the product otherwise.  README gives the fitted cost
+    rule.  ``exact_budget`` caps the factors the product may walk, whichever method chose
+    it; a product over it is refused, never rerouted.  The series grows its order until
+    the truncation bound on ``log_survival`` is at most 1e-13 of it.
 
     Two short circuits need no iteration at all: p <= 1 gives probability
     exactly 0, and p >= t + 1 gives probability exactly 1 (some value must
@@ -375,13 +370,17 @@ def collision_probability(
     if p <= 1 or p - 1 >= t:
         return _result_from_log(0.0 if p <= 1 else -math.inf, EXACT, 0.0)
 
-    route = _pick(t, p, exact_budget) if method == AUTO else method
+    route, ratio = _pick(t, p) if method == AUTO else method, p / t
     if route == SERIES:
+        if ratio >= _SERIES_MAX_RATIO:  # only an explicit series call gets here
+            advice = ("use the exact method" if p - 1 <= exact_budget else f"the product's {p - 1} "
+                      f"factors are over the budget of {exact_budget} too: neither route answers")
+            raise SeriesBoundError(f"p/t = {ratio:.4g} is at least {_SERIES_MAX_RATIO:.4g}, where the "
+                                   f"series would pass its order cap of {_MAX_ORDER}; {advice}")
         value, tail, order = _series_scan(t, p, order)
         bound = _prob_bound(value, tail)
     else:
-        if p - 1 > exact_budget:  # the one over-budget refusal
-            ratio = p / t
+        if p - 1 > exact_budget:  # the one over-budget refusal, under auto too
             advice = ("so use the series method instead" if ratio < _SERIES_MAX_RATIO
                       else "too large for the series")
             raise IterationBudgetError(f"exact product needs {p - 1} factors, over the budget of "

@@ -324,6 +324,16 @@ class TestCurve:
         _, out, _ = run(capsys, "curve", "-t", "365", "--p-max", "100", "--format", "json")
         assert len(json.loads(out)) == 101
 
+    def test_curve_up_to_near_the_wall_takes_no_long_products(self, capsys):
+        # 101 samples at p/t up to 0.95: auto walks no product past 48 * 512**2 + 200 factors
+        # below the series' wall; a product per sample, up to 9.5e7 factors, would take ~10 s
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "curve", "-t", "1e8", "--p-max", "9.5e7", "--format", "csv")
+        elapsed = time.perf_counter() - start
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 102 and lines[-1] == "95000000,1.0"
+        assert elapsed < 2, elapsed
+
     def test_long_json_curve_is_one_dumps_of_its_rows(self, capsys):
         # json rows are encoded 1,024 at a time; past two chunk boundaries the bytes are still
         # those of one json.dumps of the whole list

@@ -130,6 +130,12 @@ class TestSpaceSize:
         with pytest.raises(DomainError):
             SpaceSize(bad)
 
+    @pytest.mark.parametrize("bad", [1e31, 0.5, float("nan"), float("inf")])
+    def test_out_of_range_value_rejected(self, bad):
+        # built directly, the dataclass checks the range that the space reader checks first
+        with pytest.raises(DomainError, match="^space size must be from 1 to 1e30, got "):
+            SpaceSize(bad)
+
     def test_equal_spaces_compare_and_hash_equal(self):
         built = [as_space_size(2**36), as_space_size(2.0**36), SpaceSize(2.0**36),
                  as_space_size(SpaceSize(2.0**36)), space_size(GaltonModel())]
@@ -472,6 +478,22 @@ class TestSurvivalLogSeries:
         with pytest.raises(SeriesBoundError, match="order cap of 512"):
             collision_probability(100, 96, "series", order=6)
 
+    def test_refusal_names_the_exact_method_only_within_its_budget(self):
+        with pytest.raises(SeriesBoundError, match="order cap of 512; use the exact method$"):
+            collision_probability(1000, 955, "series")
+        assert collision_probability(1000, 955, "exact").method == "exact"
+        # 1e20 - 1 factors are over the exact budget too: neither route answers
+        for kwargs in ({}, {"exact_budget": 10}):
+            with pytest.raises(SeriesBoundError) as info:
+                collision_probability(1e20, 10**20, "series", **kwargs)
+            budget = kwargs.get("exact_budget", collision.DEFAULT_EXACT_BUDGET)
+            assert str(info.value).endswith(f"order cap of 512; the product's {10**20 - 1} factors "
+                                            f"are over the budget of {budget} too: neither route answers")
+            with pytest.raises(IterationBudgetError, match="too large for the series$"):
+                collision_probability(1e20, 10**20, "exact", **kwargs)
+        with pytest.raises(SeriesBoundError, match="neither route answers$"):
+            collision_probability(1000, 955, "series", exact_budget=953)
+
     def test_order_validation(self):
         with pytest.raises(DomainError):
             collision_probability(365, 23, "series", order=1)
@@ -695,20 +717,20 @@ class TestCollisionProbability:
 
 
 def auto_exact_limit(t, p):
-    """Longest product auto takes for 1e-4 < p/t < 1/2: 48 k**2 + 200 factors,
+    """Longest product auto takes for 1e-4 < p/t < the series' wall: 48 k**2 + 200 factors,
     k = 1 + ln(5e-11) / ln(p/t) the order a cold scan is predicted to stop at."""
     k = 1 + math.log(5e-11) / math.log(p / t)
     return 48 * k * k + 200
 
 
 def _auto_route(t, p):
-    """The route auto takes at (t, p) within the default budget, from its rule alone."""
-    return collision._pick(float(t), p, collision.DEFAULT_EXACT_BUDGET)
+    """The route auto takes at (t, p), from its rule alone."""
+    return collision._pick(float(t), p)
 
 
 def _route_flips(t, p_max):
     """Every p <= p_max where auto's route differs from the one at p - 1."""
-    edges = {int(f * t) + d for f in (1e-4, 0.5) for d in (0, 1)}  # the ratio switches
+    edges = {int(f * t) + d for f in (1e-4, WALL) for d in (0, 1)}  # the ratio switches
     grid = sorted({round(2 * (p_max / 2) ** (i / 600)) for i in range(601)}
                   | {q for q in edges if 2 <= q <= p_max})
     flips = []
@@ -765,39 +787,54 @@ class TestAutoCrossover:
 
     @pytest.mark.parametrize("t, p", [(4e4, 20_000), (1e5, 99_999), (1.5e6, 10**6)])
     def test_uncertified_ratio_stays_exact_within_budget(self, t, p):
+        # the product answers each of these ratios within its budget, and auto gives its
+        # probability: by the product bit for bit where the cost rule keeps it (20k and
+        # 100k factors), by the series where the rule passes 1e6 factors on (order 58)
+        e = collision_probability(t, p, "exact")
         r = collision_probability(t, p)
-        assert r.method == "exact"
-        assert r.log_survival.hex() == collision_probability(t, p, "exact").log_survival.hex()
+        assert r.method == _auto_route(t, p) == ("series" if p == 10**6 else "exact")
+        assert r.probability.hex() == e.probability.hex()
+        if r.method == "exact":
+            assert r.log_survival.hex() == e.log_survival.hex()
+        else:
+            assert abs(r.log_survival - e.log_survival) <= 2e-13 * abs(e.log_survival)
 
     def test_series_over_a_budget_below_the_switch(self):
-        # auto keeps this product at the default budget; a budget below its
-        # 1199 factors sends it to the series
+        # auto keeps this product whatever the budget: a budget below its 1199 factors
+        # refuses it and names the series, which answers it at order 7
         assert collision_probability(1e5, 1200).method == "exact"
-        r = collision_probability(1e5, 1200, exact_budget=1000)
+        with pytest.raises(IterationBudgetError, match="1199 factors, over the budget of 1000; "
+                                                       "p/t = 0.012, so use the series method"):
+            collision_probability(1e5, 1200, exact_budget=1000)
+        r = collision_probability(1e5, 1200, "series")
         assert (r.method, r.order) == ("series", 7)
         truth = fsum_survival_log(1e5, 1200)
         assert abs(r.log_survival - truth) <= 1e-12 * abs(truth)
 
     @pytest.mark.parametrize("t", [4e4, 1e5, 10**6, 2**24, 1e7, 1.6e8])
     def test_monotone_across_the_switch(self, t):
-        # every flip up to p/t = 1/2, at the ratio switches and the cost
-        # switch (above t ~ 8e6 only the one at 1/2): zero tolerance
-        flips = _route_flips(t, int(t / 2) + 2)
+        # every flip up to just past the wall, zero tolerance: at the ratio switch 1e-4, where
+        # the cost rule hands the product to the series, where it hands it back as the
+        # predicted order grows towards the wall (up to t ~ 1.3e7: 0.83 at t = 1e6, 0.948
+        # at 1e7), and at the wall above that.  At 1.6e8 the product at the wall walks
+        # 1.53e8 factors, past the default budget.
+        budget = {"exact_budget": 2 * 10**8} if t > 1e8 else {}
+        flips = _route_flips(t, int(WALL * t) + 2)
         assert flips
         for p in flips:
-            a, b = collision_probability(t, p - 1), collision_probability(t, p)
+            a, b = collision_probability(t, p - 1, **budget), collision_probability(t, p, **budget)
             assert a.method != b.method, p
             assert a.probability <= b.probability, p
             assert a.log_survival >= b.log_survival, p
 
     def test_monotone_and_within_bounds_across_every_flip(self):
-        # every p where auto changes route, for t from 1e3 to 1e12: zero
-        # tolerance across the flip, and both answers next to it within
-        # their bounds of the fsum oracle
+        # every p up to 2e6 or the wall where auto changes route, for t from 1e3 to 1e12:
+        # zero tolerance across the flip, and both answers next to it within their bounds
+        # of the fsum oracle
         rng = random.Random(20261018)
         ts = [1e6] + [10 ** (3 + (i + rng.random()) / 4) for i in range(36)]  # a quarter decade each
-        flips = [(t, p) for t in ts for p in _route_flips(t, min(t / 2 + 2, 2e6))]
-        assert len(flips) >= 25
+        flips = [(t, p) for t in ts for p in _route_flips(t, min(WALL * t + 2, 2e6))]
+        assert len(flips) >= 25 and any(p / t >= 0.5 for t, p in flips)
         for t, p in flips:
             a, b = collision_probability(t, p - 1), collision_probability(t, p)
             assert a.method != b.method, (t, p)
@@ -807,6 +844,30 @@ class TestAutoCrossover:
                 truth = fsum_survival_log(t, q)
                 assert abs(r.log_survival - truth) <= 1e-13 * (1 + abs(truth)), (t, q)
                 assert abs(r.probability + math.expm1(truth)) <= r.abs_error_bound + 2**-50, (t, q)
+
+    def test_no_product_below_the_wall_passes_the_cost_rule_at_its_cap(self):
+        # wherever auto takes the product below the wall, it walks at most
+        # 48 * 512**2 + 200 factors, whatever t
+        cap = 48 * collision._MAX_ORDER**2 + 200
+        rng = random.Random(26)
+        products, series = [], 0
+        for _ in range(4000):
+            t = 10 ** rng.uniform(2, 30)
+            p = max(2, round(rng.choice([10 ** rng.uniform(-4, 0), rng.uniform(0.5, WALL)]) * t))
+            if 1e-4 < p / t < WALL and p - 1 < t:
+                if _auto_route(t, p) == "series":
+                    series += 1
+                else:
+                    products.append(p - 1)
+                    assert p - 1 <= cap, (t, p)
+        assert series >= 3000 and len(products) >= 400 and max(products) > 10**6, (series, max(products))
+        # above 1/2, products of 1e6 and 1e8 factors are past the rule: auto takes the series
+        for t, p in ((2e8, 10**8), (1.5e6, 10**6)):
+            r = collision_probability(t, p)
+            truth = lgamma_survival_log(t, p)
+            assert r.method == "series" and r.probability == 1.0 == -math.expm1(truth), (t, p)
+            assert abs(r.log_survival - truth) <= 2e-13 * abs(truth), (t, p)
+        assert collision_probability(1.5e6, 10**6, "exact").probability == 1.0
 
 
 WALL = collision._SERIES_MAX_RATIO
@@ -824,13 +885,13 @@ class TestSeriesWall:
         # the prediction overshoots near the wall, so the last scan below it stops under the cap
         v, tail, k = _series_scan(t, p - 1)
         assert k < collision._MAX_ORDER and tail <= 1e-13 * abs(v)
-        assert [collision._pick(t, q, 10) for q in (p - 1, p)] == ["series", "exact"]
+        assert [collision._pick(t, q) for q in (p - 1, p)] == ["series", "exact"]
         with pytest.raises(SeriesBoundError, match=r"^p/t = 0\.9546 is at least 0\.9546"):
             collision_probability(t, p, "series")
 
     def test_order_less_calls_below_the_wall_are_within_bounds_of_mpmath(self):
-        # auto over a small budget and the explicit series, alternately, at t log-uniform
-        # in [1e2, 1e30] and p/t uniform in [1/2, wall)
+        # auto and the explicit series, alternately, at t log-uniform in [1e2, 1e30] and p/t
+        # uniform in [1/2, wall); auto takes the product for the short ones (t below ~1.3e7)
         rng = random.Random(23)
         calls = 0
         for _ in range(320):
@@ -838,10 +899,12 @@ class TestSeriesWall:
             p = round(rng.uniform(0.5, WALL) * t)
             if not 0.5 <= p / t < WALL:  # rounding p can leave the range at small t
                 continue
-            r = (collision_probability(t, p, exact_budget=10) if calls % 2
-                 else collision_probability(t, p, "series"))
+            r = collision_probability(t, p, *() if calls % 2 else ("series",))
             truth = lgamma_survival_log(t, p)
-            assert r.method == "series" and r.order < collision._MAX_ORDER, (t, p)
+            if calls % 2 and p - 1 <= auto_exact_limit(t, p):
+                assert r.method == "exact", (t, p)
+            else:
+                assert r.method == "series" and r.order < collision._MAX_ORDER, (t, p)
             assert abs(r.log_survival - truth) <= 2e-13 * abs(truth), (t, p)
             assert abs(r.probability + math.expm1(truth)) <= r.abs_error_bound + 2**-52, (t, p)
             calls += 1
@@ -857,12 +920,16 @@ class TestSeriesWall:
 
     @pytest.mark.parametrize("budget", [10, 100, 1000, 10**4])
     def test_monotone_across_the_budget_switch(self, budget):
-        # p - 1 = budget is the last product; one more draw passes the budget and takes the series
+        # p - 1 = budget is the last product auto walks; one more draw passes the budget and
+        # is refused, not rerouted, and the series that the refusal names answers it: zero
+        # tolerance from the last product to that series answer
         p = budget + 2
         for x in (0.5, 0.6, 0.75, 0.9, 0.95, 0.954):
             t = p / x
             a = collision_probability(t, p - 1, exact_budget=budget)
-            b = collision_probability(t, p, exact_budget=budget)
+            with pytest.raises(IterationBudgetError, match="so use the series method instead$"):
+                collision_probability(t, p, exact_budget=budget)
+            b = collision_probability(t, p, "series")
             assert (a.method, b.method) == ("exact", "series"), (t, p)
             assert a.probability <= b.probability and a.log_survival >= b.log_survival, (t, p)
 

@@ -16,13 +16,14 @@ checkouts, each run in its own process:
     PYTHONPATH=src python tools/bitsweep.py
 
 Cover (default ``--calls 10000``): 4,000 auto, 3,000 exact and 3,000 series
-calls with t in [1, 1e30] and random budgets and orders, 66 calls at the edges,
+calls with t in [1, 1e30], random budgets on the exact calls and random orders
+on the series calls, 70 calls at the edges,
 ``calls // 10`` solves of each kind and one over 1.5 values, the bundled table at
 2^36, 2^47, 1e12 and 2^64, and in each of the CLI's three formats 11 fixed runs
 (the frozen-output argvs of tests/test_cli.py, the table on the bundled cities;
 ``rop-table -t 1e9``; a curve refused in its middle; a 2,049-sample curve; a curve
 to 2^60 + 1) and ``calls // 100`` seeded curves of up to 1,000 samples.  Takes
-about 2.5 s on a 2-vCPU Xeon VM.
+about 2 s on a 2-vCPU Xeon VM.
 """
 
 import argparse
@@ -48,12 +49,15 @@ from ropcalc import (
 )
 
 # An exact product over a million factors takes a few ms; every exact call asks
-# for at most this many unless its budget refuses it first.
+# for at most this many unless its budget refuses it first.  Auto's calls stay under it
+# too, so the sweep stays fast on versions whose auto walks products up to its budget.
 _EXACT_CAP = 10**6
 
-# Calls at the edges: one of each refusal, and auto's switches, the series' wall (p/t ~ 0.95464)
-# and the pigeonhole wall hit exactly; spaces on either side of each of the space reader's
-# checks, numpy's float among them, also at the pigeonhole wall; and the series scan's seams:
+# Calls at the edges: one of each refusal (a series refusal past the product's budget too),
+# auto's switches, the series' wall (p/t ~ 0.95464) and the pigeonhole wall hit exactly, auto
+# above 1/2 where the product would walk 1e6 and 1e8 factors, a product refused by its budget;
+# spaces on either side of each of the space reader's checks, numpy's float among them, also
+# at the pigeonhole wall; and the series scan's seams:
 # explicit orders 2, 3, 4 and 512, order-less scans at p = 2 and 3 (direct sums from order 4),
 # and m = p - 1 = 256 and 257 at order 300, either side of k = m where the terms turn from
 # Faulhaber's formula to the direct sum.
@@ -73,6 +77,8 @@ _EDGES = [
     ((2**60, 2**60), {}), ((2**60, 2**60 + 1), {}), ((2.0**60, 2**60 + 1), {}), ((365, 366), {}),
     ((1000, 954, "series"), {}), ((1000, 955, "series"), {}),
     ((1000, 954), {"exact_budget": 10}), ((1000, 955), {"exact_budget": 10}),
+    ((2e8, 10**8), {}), ((1.5e6, 10**6), {}), ((1e5, 1200), {"exact_budget": 1000}),
+    ((1e20, 10**20, "series"), {}),
     ((int(1e30), 5), {}), ((int(1e30) + 1, 5), {}), ((10**30 + 1, 5), {}), ((1e30, 5), {}),
     ((0.5, 5), {}), ((-5, 5), {}), ((float("inf"), 5), {}), ((np.int64(365), 5), {}),
     ((SpaceSize(2.0**36), 5), {}), ((np.float64(365.0), 5), {}), ((np.float64(1e31), 5), {}),
@@ -144,12 +150,12 @@ def _forward_calls(rng, calls):
                                 rng.uniform(0.4, 0.6), 10 ** rng.uniform(-4, -0.3)])
             if ratio < 0.5 and rng.random() < 0.4:  # the cost switch: p up to 6e4
                 t = round(10 ** rng.uniform(1, 4.8)) / ratio
-            p, kwargs, method = round(ratio * t), _budget(rng), "auto"
+            p, kwargs, method = round(ratio * t), {}, "auto"
             if rng.random() < 0.05:  # the pigeonhole wall, exactly
                 t = float(round(t))
                 p = int(t) + rng.randint(-1, 2)
             # no product over the cap: past it the series answers, or past its wall the budget refuses
-            if p - 1 > _EXACT_CAP and p >= 0.5 * t and "exact_budget" not in kwargs:
+            if p - 1 > _EXACT_CAP and p >= 0.5 * t:
                 kwargs = {"exact_budget": _EXACT_CAP}
         elif share < 0.7:  # exact, or its refusal over the budget
             p = int(10 ** rng.uniform(0, 6)) if rng.random() < 0.9 else int(10 ** rng.uniform(8.1, 30))
