@@ -15,8 +15,9 @@ trillions, so everything is evaluated through the log of the survival
 * "series" expands each log1p term as a power series and swaps the order
   of summation, which turns the whole sum into a handful of cumulative
   power sums: the first three from exact integer closed forms, the rest
-  from Faulhaber's formula in floats.  Cost is O(1) per order, whatever p,
-  and the truncation error carries a certified bound.
+  from Faulhaber's formula in floats, each made by the one loop that also
+  decides where to stop.  Cost is O(1) per order, whatever p, and the
+  truncation error carries a certified bound.
 
 "auto", the default, picks between them by cost.
 
@@ -241,39 +242,6 @@ _FAULHABER = (
 )
 
 
-def _series_terms(t: float, m: int):
-    """T_k = S_k(m) / (k t**k) for k = 1..513 in turn, S_k(m) = 1**k + ... + m**k, at O(1) per k.
-
-    T_1..T_3 round the exact closed forms S_1 = m(m+1)/2, S_2 = S_1(2m+1)/3 and S_3 = S_1**2.
-    Above them, while m > k, Faulhaber's formula in floats with y = m/t:
-        T_k = y**k (m/(k+1) + 1/2 + sum_{j<=k/2} B_2j/(2j)! k(k-1)...(k-2j+2) / m**(2j-1)) / k,
-    whose sum stops once a term no longer moves it; once m <= k, the direct sum of (n/t)**k.
-    The sum walks _FAULHABER with no slice per k, taking the falling factorial two factors a step.
-    A term is within k + 8 ulps of the exact one while it and y**k are normal floats (at worst
-    0.46 (k + 8) over TestSeriesTerm's grid, m = 1..1e13).  The terms where k is large
-    are ~1e-13 of the value where an order-less scan stops, so their error stays far inside
-    the _ROUNDING_UNIT (1 + |v|) that _prob_bound allows.
-    """
-    s1 = m * (m + 1) // 2
-    for k, s in enumerate((s1, s1 * (2 * m + 1) // 3, s1 * s1), 1):
-        yield float(s) / (k * t**k)
-    mf = float(m)
-    y, m2, coeffs = mf / t, mf * mf, _FAULHABER
-    for k in range(4, _MAX_ORDER + 2):
-        if m <= k:
-            yield math.fsum((n / t) ** k for n in range(1, m + 1)) / k
-            continue
-        b, c, d = mf / (k + 1) + 0.5, k / mf, k - 1
-        for coeff in coeffs:  # while 2j <= k, that is while d = k - 2j + 1 >= 1
-            x = coeff * c
-            if d < 1 or b + x == b:
-                break
-            b += x
-            c *= d * (d - 1) / m2
-            d -= 2
-        yield y**k * b / k
-
-
 def _prob_bound(v: float, tail: float) -> float:
     """Absolute probability-error bound for a log-survival estimate v.
 
@@ -293,28 +261,54 @@ def _prob_bound(v: float, tail: float) -> float:
 
 
 def _series_scan(t: float, p: int, order=None):
-    """Series terms 1..k plus the first omitted term, each evaluated once as one for loop reaches it.
+    """Series terms T_1..T_k plus the first omitted one, each evaluated once as the loop reaches it.
 
-    Needs p/t < _SERIES_MAX_RATIO (the caller refuses the rest).  As S_{k+1}(m) <= m S_k(m)
-    for m = p - 1, each term is at most p/t times the one before, so tail = omitted term /
-    (1 - p/t) bounds the truncation for any p/t < 1.  A fixed ``order`` sets k; with
-    ``order=None`` k grows from 2 until tail is at most the share _ROUNDING_UNIT of |value|
-    that reported bounds carry: 35 orders at p/t = 1/2, 410 at 0.95, usually 2 to 4.
-    Returns (value, tail, k): the estimate, its bound, the order.
+    With m = p - 1, T_k = S_k(m) / (k t**k) and S_k(m) = 1**k + ... + m**k.  T_1..T_3 round the
+    exact closed forms S_1 = m(m+1)/2, S_2 = S_1(2m+1)/3 and S_3 = S_1**2.  Above them, while
+    m > k, Faulhaber's formula in floats with y = m/t:
+        T_k = y**k (m/(k+1) + 1/2 + sum_{j<=k/2} B_2j/(2j)! k(k-1)...(k-2j+2) / m**(2j-1)) / k,
+    whose sum stops once a term no longer moves it; once m <= k, the direct sum of (n/t)**k.
+    The sum walks _FAULHABER with no slice per k, taking the falling factorial two factors a step.
+    A term is within k + 8 ulps of the exact one while it and y**k are normal floats (at worst
+    0.46 (k + 8) over TestSeriesTerm's grid, m = 1..1e13).  The terms where k is large are
+    ~1e-13 of the value where an order-less scan stops, so their error stays far inside the
+    _ROUNDING_UNIT (1 + |v|) that _prob_bound allows.
+
+    Needs p/t < _SERIES_MAX_RATIO (the caller refuses the rest).  As S_{k+1}(m) <= m S_k(m),
+    each term is at most p/t times the one before, so tail = omitted term / (1 - p/t) bounds
+    the truncation for any p/t < 1.  A fixed ``order`` sets k; with ``order=None`` k grows
+    from 2 until tail is at most the share _ROUNDING_UNIT of |value| that reported bounds
+    carry: 35 orders at p/t = 1/2, 410 at 0.95, usually 2 to 4.
+    Returns (value, tail, k, terms): the estimate, its bound, the order, and T_1..T_{k+1}.
     """
-    geom = 1.0 / (1.0 - p / t)
-    series = _series_terms(t, p - 1)
-    terms = [next(series), next(series)]
-    # The stop test reads a plain running sum: builtin sum() compensates since
-    # Python 3.12, and the stop order must not depend on the Python version.
-    running, k, last = terms[0] + terms[1], 2, order or _MAX_ORDER
-    for omitted in series:  # never runs dry: the series yields one term past the cap
-        if k == last or order is None and omitted * geom <= _ROUNDING_UNIT * running:
-            break
+    m = p - 1
+    s1 = m * (m + 1) // 2
+    terms = [float(s1) / t, float(s1 * (2 * m + 1) // 3) / (2 * t**2)]
+    omitted, geom = float(s1 * s1) / (3 * t**3), 1.0 / (1.0 - p / t)
+    mf = float(m)
+    y, m2 = mf / t, mf * mf
+    # k is the order of the omitted term.  The stop test reads a plain running sum: builtin
+    # sum() compensates since Python 3.12, and the stop order must not depend on the Python version.
+    running, k, last = terms[0] + terms[1], 3, (order or _MAX_ORDER) + 1
+    while k != last and (order or omitted * geom > _ROUNDING_UNIT * running):
         terms.append(omitted)
         running += omitted
         k += 1
-    return -math.fsum(terms), omitted * geom, k
+        if m <= k:
+            omitted = math.fsum((n / t) ** k for n in range(1, m + 1)) / k
+            continue
+        b, c, d = mf / (k + 1) + 0.5, k / mf, k - 1
+        for coeff in _FAULHABER:  # while 2j <= k, that is while d = k - 2j + 1 >= 1
+            x = coeff * c
+            if d < 1 or b + x == b:
+                break
+            b += x
+            c *= d * (d - 1) / m2
+            d -= 2
+        omitted = y**k * b / k
+    value = -math.fsum(terms)
+    terms.append(omitted)
+    return value, omitted * geom, k - 1, terms
 
 
 _AUTO_SERIES_RATIO, _AUTO_FACTORS_PER_ORDER2, _AUTO_FACTORS_BASE = 1e-4, 48, 200
@@ -377,7 +371,7 @@ def collision_probability(
                       f"factors are over the budget of {exact_budget} too: neither route answers")
             raise SeriesBoundError(f"p/t = {ratio:.4g} is at least {_SERIES_MAX_RATIO:.4g}, where the "
                                    f"series would pass its order cap of {_MAX_ORDER}; {advice}")
-        value, tail, order = _series_scan(t, p, order)
+        value, tail, order, _ = _series_scan(t, p, order)
         bound = _prob_bound(value, tail)
     else:
         if p - 1 > exact_budget:  # the one over-budget refusal, under auto too

@@ -256,21 +256,6 @@ class TestSurvivalLogExact:
         assert math.isfinite(v) and v < -10
 
 
-def _recording_orders(monkeypatch):
-    """Orders of every series term the scans evaluate from now on, in turn.
-
-    The kernel yields one term per order, evaluated only when the scan asks for it."""
-    orders, terms = [], collision._series_terms
-
-    def recording(t, m):
-        for k, term in enumerate(terms(t, m), 1):
-            orders.append(k)
-            yield term
-
-    monkeypatch.setattr(collision, "_series_terms", recording)
-    return orders
-
-
 @functools.cache
 def _exact_sums(m):
     """S_0(m)..S_513(m) from the exact oracle, once per m: the order cap plus the omitted order."""
@@ -317,33 +302,29 @@ class TestPowerSum:
         for k in (513, 13, 64, 200, 511, 512):
             assert sums[k] % q == oracle(k, m)
 
-    def test_cold_scan_at_the_cap_computes_each_order_once(self, monkeypatch):
-        # the scan at the order cap needs terms 1..513 of one m, each evaluated once.
-        # No term outlives its scan, so the same population costs the same again.
-        orders = _recording_orders(monkeypatch)
-        first = _series_scan(1e12, 10**6, 512)
-        assert orders == list(range(1, 514))
-        assert _series_scan(1e12, 10**6, 512) == first
-        assert orders == 2 * list(range(1, 514))
+    def test_cold_scan_at_the_cap_computes_each_order_once(self):
+        # a scan to order k keeps terms 1..k and returns term k + 1 after them, one per order,
+        # up to the cap; no term outlives its scan, so the same population gives the same again
+        for k in (2, 3, 4, 100, 511, 512):
+            first = _series_scan(1e12, 10**6, k)
+            assert first[2] == k and len(first[3]) == k + 1
+            assert _series_scan(1e12, 10**6, k) == first
 
-    def test_cold_order_less_scan_holds_no_order_past_its_stop(self, monkeypatch):
-        # terms are made only as the scan asks for them, so a scan that stops
-        # at k evaluates terms 1..k+1 and no more
-        orders = _recording_orders(monkeypatch)
+    def test_cold_order_less_scan_holds_no_order_past_its_stop(self):
+        # an order-less scan that stops at k returns terms 1..k+1 and no more
         rng = random.Random(4000)
         cases = [(p / x, p) for p in (2, 3, 5, 9) for x in (0.3, 0.45, 0.4999)]
         for _ in range(400):
             p = int(10 ** rng.uniform(0.31, 12))
             cases.append((p / 10 ** rng.uniform(-6, math.log10(0.4999)), p))
         for t, p in cases:
-            orders.clear()
-            k = _series_scan(t, p)[2]
-            assert orders == list(range(1, k + 2)), (t, p)
+            _, _, k, terms = _series_scan(t, p)
+            assert len(terms) == k + 1, (t, p)
 
     def test_concurrent_cold_scans_match_a_single_thread(self):
         # four threads share some populations and keep others to themselves,
-        # order-less and at explicit orders up to 80; every answer is the one
-        # a single thread gets, compared by hex
+        # order-less and at explicit orders up to 80; every answer, its tail, order
+        # and terms, is the one a single thread gets, compared by hex
         rng = random.Random(20261018)
         shared = [rng.randrange(10**4, 10**8) for _ in range(12)]
         jobs = [[(p * rng.choice([3, 10, 1e3, 1e6]), p,
@@ -352,7 +333,8 @@ class TestPowerSum:
                 for _ in range(4)]
 
         def run(batch):
-            return [tuple(map(float.hex, _series_scan(t, p, order)[:2])) for t, p, order in batch]
+            scans = (_series_scan(t, p, order) for t, p, order in batch)
+            return [(v.hex(), tail.hex(), k, [term.hex() for term in terms]) for v, tail, k, terms in scans]
 
         expected = [run(batch) for batch in jobs]
         interval = sys.getswitchinterval()
@@ -385,8 +367,10 @@ class TestSeriesTerm:
     def test_every_order_within_its_ulp_budget(self, m, t):
         # orders 1..513 at m/t = 0.3 and 0.95: m = 256, 257, 411 and 512 put m = k - 1, k and
         # k + 1 around odd and even k, where the kernel turns from Faulhaber's formula to the
-        # direct sum; (31.4, 8) once showed an extra Bernoulli term at odd k as a 6e-8 error
-        terms = list(collision._series_terms(t, m))
+        # direct sum; (31.4, 8) once showed an extra Bernoulli term at odd k as a 6e-8 error.
+        # A scan at the cap returns them all, the omitted one last; at p/t >= 1 only its tail
+        # is meaningless
+        terms = _series_scan(t, m + 1, collision._MAX_ORDER)[3]
         assert len(terms) == collision._MAX_ORDER + 1
         for k, term in enumerate(terms, 1):
             assert _ulps_off(term, k, t, _exact_sums(m)[k]) <= k + 8, (m, t, k)
@@ -397,7 +381,7 @@ class TestSeriesTerm:
         digest = hashlib.sha256()
         for m in (1, 2, 8, 25, 256, 257, 10**6, 2**53 + 1, 10**13):
             for y in (0.3, 0.95):
-                for term in collision._series_terms(m / y, m):
+                for term in _series_scan(m / y, m + 1, 512)[3]:
                     digest.update(term.hex().encode() + b"\n")
         assert digest.hexdigest() == "ec0178521f4e123c42e3a50d8c9402d65ba22f532336f8b17eff1ab37c06e911"
 
@@ -405,7 +389,10 @@ class TestSeriesTerm:
 # frozen: (value, tail, k) of _series_scan(t, p, order), by hex, from before the scan drove its
 # terms with one for loop; the explicit orders, order-less scans at p = 2 and 3 (direct sums
 # from order 4), and m = p - 1 = 256 and 257 at order 300, either side of k = m where the
-# terms turn from Faulhaber's formula to the direct sum
+# terms turn from Faulhaber's formula to the direct sum.  The last three, from before the scan
+# computed its terms inline, put m = 512, 513 and 514 at the cap: the omitted term T_513 comes
+# from the direct sum for the first two and from Faulhaber's formula for the third, and only
+# the tail shows it
 _SCAN_SEAMS = [
     ((2.0**47, 14_000_000, 2), ("-0x1.64859bdb9731cp-1", "0x1.4b029586d8a54p-50", 2)),
     ((2.0**47, 14_000_000, 3), ("-0x1.64859bdb97326p-1", "0x1.4b75a8a6395f7p-74", 3)),
@@ -419,12 +406,15 @@ _SCAN_SEAMS = [
     ((1e4, 258, 300), ("-0x1.ac0c66bce334dp+1", "0x0.0p+0", 300)),
     ((300.0, 257, 300), ("-0x1.58ffa7dc8ebc8p+7", "0x1.2b040a4d42e33p-74", 300)),
     ((300.0, 258, 300), ("-0x1.5ce2420439cc6p+7", "0x1.efeb98bd826f0p-73", 300)),
+    ((600.0, 513, 512), ("-0x1.580953c5ae3d0p+8", "0x1.0a63d57e6edc7p-123", 512)),
+    ((600.0, 514, 512), ("-0x1.59f7ab3319a45p+8", "0x1.6f0b8c862b4c8p-122", 512)),
+    ((600.0, 515, 512), ("-0x1.5be8f846ef2c4p+8", "0x1.f8d0ca6523801p-121", 512)),
 ]
 
 
 @pytest.mark.parametrize("args, expected", _SCAN_SEAMS, ids=[repr(args) for args, _ in _SCAN_SEAMS])
 def test_scan_seams_are_frozen(args, expected):
-    value, tail, k = _series_scan(*args)
+    value, tail, k, _ = _series_scan(*args)
     assert (value.hex(), tail.hex(), k) == expected
 
 
@@ -883,7 +873,7 @@ class TestSeriesWall:
         p = math.ceil(WALL * t)
         assert (p - 1) / t < WALL <= p / t
         # the prediction overshoots near the wall, so the last scan below it stops under the cap
-        v, tail, k = _series_scan(t, p - 1)
+        v, tail, k, _ = _series_scan(t, p - 1)
         assert k < collision._MAX_ORDER and tail <= 1e-13 * abs(v)
         assert [collision._pick(t, q) for q in (p - 1, p)] == ["series", "exact"]
         with pytest.raises(SeriesBoundError, match=r"^p/t = 0\.9546 is at least 0\.9546"):

@@ -18,6 +18,7 @@ from ropcalc import (
     solve_population,
     solve_space,
 )
+from ropcalc.collision import _SERIES_MAX_RATIO, _series_scan
 
 from conftest import rational_collision
 
@@ -132,3 +133,22 @@ def test_small_cases_against_first_principles(p):
         truth *= Fraction(365 - n, 365)
     got = collision_probability(365, p, "exact")
     assert abs(got.probability - float(1 - truth)) <= 1e-14
+
+
+@given(
+    st.floats(min_value=2.0, max_value=1e30),
+    st.floats(min_value=0.0, max_value=_SERIES_MAX_RATIO, exclude_max=True),
+    st.integers(min_value=2, max_value=511),
+)
+@settings(max_examples=150, deadline=None)
+def test_series_terms_do_not_depend_on_where_the_scan_stops(t, ratio, k):
+    # bit for bit: a scan to order k keeps the first k terms of a scan to k + 1, and omits its
+    # (k + 1)-th; an order-less scan returns the terms of the explicit scan at its stop order
+    p = max(2, int(ratio * t))
+    assume(p / t < _SERIES_MAX_RATIO)
+    shorter = [term.hex() for term in _series_scan(t, p, k)[3]]
+    longer = [term.hex() for term in _series_scan(t, p, k + 1)[3]]
+    assert shorter[:k] == longer[:k]
+    assert shorter[k] == longer[k]
+    _, _, stop, terms = _series_scan(t, p)
+    assert [term.hex() for term in terms] == [term.hex() for term in _series_scan(t, p, stop)[3]]
