@@ -19,7 +19,8 @@ trillions, so everything is evaluated through the log of the survival
   decides where to stop.  Cost is O(1) per order, whatever p, and the
   truncation error carries a certified bound.
 
-"auto", the default, picks between them by cost.
+"auto", the default, picks between them by a cost rule linear in the series'
+order, which ``tools/crossover.py`` fits.
 
 Both routes use fixed partitioning and a fixed reduction order, so results
 are reproducible bit for bit from run to run on one platform.  Across
@@ -62,9 +63,9 @@ DEFAULT_EXACT_BUDGET = 10**8
 # is define the series' wall: the p/t past which a scan would need more orders.
 _MAX_ORDER = 512
 
-# The series' wall: an order-less scan at p/t = x is predicted to stop at order
-# 1 + _LOG_STOP / ln x (see _pick), which reaches _MAX_ORDER at x ~ 0.95464.
-_LOG_STOP = math.log(5e-11)
+# The series' wall: an order-less scan at p/t = x is predicted to stop at the order k
+# where x**(k - 1) = _STOP (see _pick), which reaches _MAX_ORDER at x ~ 0.95464.
+_STOP, _LOG_STOP = 5e-11, math.log(5e-11)
 _SERIES_MAX_RATIO = math.exp(_LOG_STOP / (_MAX_ORDER - 1))
 
 # Fixed block length for the exact product sum.  Blocks are summed with
@@ -311,25 +312,24 @@ def _series_scan(t: float, p: int, order=None):
     return value, omitted * geom, k - 1, terms
 
 
-_AUTO_SERIES_RATIO, _AUTO_FACTORS_PER_ORDER2, _AUTO_FACTORS_BASE = 1e-4, 48, 200
+_AUTO_FACTORS_PER_ORDER, _AUTO_ORDER_OFFSET = 220, 6  # _pick's C and k0: tools/crossover.py fits them
 
 
 def _pick(t: float, p: int) -> str:
-    """Auto's route for 1 < p < t + 1, from t and p alone: the series if p/t <= 1e-4, or if
-    p/t < _SERIES_MAX_RATIO and the product's p - 1 factors pass 48 k**2 + 200; the product
-    otherwise, so at most 48 * 512**2 + 200 ~ 1.26e7 factors below the wall.  A cold scan to
-    order k = 1 + ln(5e-11) / ln(p/t) costs about as much as 48 k**2 + 200 factors: the fit with
-    the least summed cold cost over p in [10, 6e4] by p/t in [1e-4, 1/2) (README), extrapolated
-    above 1/2.  k is where a scan's terms, ~x**k / (k (k + 1)) of the value at x = p/t, reach
-    its 1e-13 stop share: 4.4, 11.3, 30.7 and 463 at x = 1e-3, 0.1, 0.45 and 0.95 against real
-    stops 4, 12, 31 and 410.  The fit timed big-int power sums at O(k) per order, so it
-    overstates the series' cost; it stays until a cheaper route replaces this rule.
+    """Auto's route for 1 < p < t + 1, from t and p alone: the product at or above the series'
+    wall; below it the series iff its predicted stop order k = 1 + ln(5e-11) / ln(p/t) is under
+    the orders the product's p - 1 factors buy, k0 + (p - 1) / C, or p - 1 > C (k - k0): an
+    order costs as much as C factors, and the product's larger fixed cost pays for k0 orders.
+    So the series wherever k < k0 (p/t < ~8.7e-3), and at most C (512 - k0) ~ 1.11e5 factors
+    below the wall.  k is where a scan's terms, ~x**k / (k (k + 1)) of the value at x = p/t,
+    reach its 1e-13 stop share (x**(k - 1) = 5e-11): 4.4, 11.3, 30.7 and 463 at x = 1e-3, 0.1,
+    0.45 and 0.95 against real stops 4, 12, 31 and 410.
     """
     ratio = p / t
-    if not _AUTO_SERIES_RATIO < ratio < _SERIES_MAX_RATIO:
-        return SERIES if ratio <= _AUTO_SERIES_RATIO else EXACT
-    k = 1.0 + _LOG_STOP / math.log(ratio)
-    return SERIES if p - 1 > _AUTO_FACTORS_PER_ORDER2 * k * k + _AUTO_FACTORS_BASE else EXACT
+    if ratio >= _SERIES_MAX_RATIO:
+        return EXACT
+    orders = _AUTO_ORDER_OFFSET + (p - 1) / _AUTO_FACTORS_PER_ORDER
+    return SERIES if ratio ** (orders - 1) < _STOP else EXACT
 
 
 def collision_probability(
@@ -337,12 +337,12 @@ def collision_probability(
 ) -> EvalResult:
     """Probability that p uniform draws over t values repeat at least once.
 
-    ``method`` is "exact", "series", or "auto".  Auto reads t and p only: it takes the
-    series where p/t <= 1e-4, and below the series' order-cap wall (p/t ~ 0.95464) where
-    the series is predicted cheaper; the product otherwise.  README gives the fitted cost
-    rule.  ``exact_budget`` caps the factors the product may walk, whichever method chose
-    it; a product over it is refused, never rerouted.  The series grows its order until
-    the truncation bound on ``log_survival`` is at most 1e-13 of it.
+    ``method`` is "exact", "series", or "auto".  Auto reads t and p only: below the series'
+    order-cap wall (p/t ~ 0.95464) it takes the series where its predicted orders cost less
+    than the product's p - 1 factors, the product otherwise (see _pick).  ``exact_budget``
+    caps the factors the product may walk, whichever method chose it; a product over it is
+    refused, never rerouted.  The series grows its order until the truncation bound on
+    ``log_survival`` is at most 1e-13 of it.
 
     Two short circuits need no iteration at all: p <= 1 gives probability
     exactly 0, and p >= t + 1 gives probability exactly 1 (some value must

@@ -325,7 +325,7 @@ class TestCurve:
         assert len(json.loads(out)) == 101
 
     def test_curve_up_to_near_the_wall_takes_no_long_products(self, capsys):
-        # 101 samples at p/t up to 0.95: auto walks no product past 48 * 512**2 + 200 factors
+        # 101 samples at p/t up to 0.95: auto walks no product past 220 * (512 - 6) factors
         # below the series' wall; a product per sample, up to 9.5e7 factors, would take ~10 s
         start = time.perf_counter()
         code, out, _ = run(capsys, "curve", "-t", "1e8", "--p-max", "9.5e7", "--format", "csv")
@@ -529,12 +529,14 @@ _GOLDEN = [
         "json": '{"space": 365.0, "target": 0.5, "population": 23, '
                 '"probability": 0.5072972343239854}\n',
     }),
+    # the probability there is auto's series answer, 1.8 ulp from the 60-digit mpmath value
+    # 0.4999999999238660022 (the product's 0.49999999992386607 is 1.2 ulp from it)
     (["solve-t", "-p", "1000", "--target", "0.5"], {
-        "text": "space size: 7.20959e+05\nprobability there: 0.49999999992386607\n",
+        "text": "space size: 7.20959e+05\nprobability there: 0.4999999999238659\n",
         "csv": "population,target,space,probability\n"
-               "1000,0.5,720959.4167795692,0.49999999992386607\n",
+               "1000,0.5,720959.4167795692,0.4999999999238659\n",
         "json": '{"population": 1000, "target": 0.5, "space": 720959.4167795692, '
-                '"probability": 0.49999999992386607}\n',
+                '"probability": 0.4999999999238659}\n',
     }),
     (["rop-table", "-t", "1000", "--dataset", "TOWNS"], {
         "text": "name             population  overlap\n"

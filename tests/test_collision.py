@@ -707,10 +707,11 @@ class TestCollisionProbability:
 
 
 def auto_exact_limit(t, p):
-    """Longest product auto takes for 1e-4 < p/t < the series' wall: 48 k**2 + 200 factors,
-    k = 1 + ln(5e-11) / ln(p/t) the order a cold scan is predicted to stop at."""
+    """Longest product auto takes below the series' wall: C (k - k0) factors, C and k0
+    collision's fitted constants and k = 1 + ln(5e-11) / ln(p/t) the order a scan is
+    predicted to stop at."""
     k = 1 + math.log(5e-11) / math.log(p / t)
-    return 48 * k * k + 200
+    return collision._AUTO_FACTORS_PER_ORDER * (k - collision._AUTO_ORDER_OFFSET)
 
 
 def _auto_route(t, p):
@@ -720,7 +721,7 @@ def _auto_route(t, p):
 
 def _route_flips(t, p_max):
     """Every p <= p_max where auto's route differs from the one at p - 1."""
-    edges = {int(f * t) + d for f in (1e-4, WALL) for d in (0, 1)}  # the ratio switches
+    edges = {int(WALL * t) + d for d in (0, 1)}  # the wall, the one ratio switch
     grid = sorted({round(2 * (p_max / 2) ** (i / 600)) for i in range(601)}
                   | {q for q in edges if 2 <= q <= p_max})
     flips = []
@@ -736,7 +737,7 @@ def _route_flips(t, p_max):
 class TestAutoCrossover:
     def test_long_products_take_the_series(self):
         rng = random.Random(7)
-        cases = [(1e7, 10**4), (1e6, 1181), (2e5 / 0.49, 200_000), (6e4 / 0.4999, 60_000)]
+        cases = [(1e7, 10**4), (1e4, 156), (2e5 / 0.49, 200_000), (6e4 / 0.4999, 60_000)]
         while len(cases) < 28:
             p = int(10 ** rng.uniform(2, math.log10(2e5)))
             t = p / 10 ** rng.uniform(-4, math.log10(0.5))
@@ -752,7 +753,7 @@ class TestAutoCrossover:
 
     def test_short_products_stay_exact(self):
         rng = random.Random(8)
-        cases = [(365, 23), (1000, 40), (1e6, 1180), (1e6, 101), (3.2e4 / 0.45, 32_000)]
+        cases = [(365, 23), (1000, 40), (1e4, 157), (1e4, 3000), (4e4, 34_554)]
         while len(cases) < 29:
             p = int(10 ** rng.uniform(math.log10(2), math.log10(6e4)))
             t = max(p / 10 ** rng.uniform(-4, math.log10(0.5)), p + 0.5)
@@ -778,11 +779,11 @@ class TestAutoCrossover:
     @pytest.mark.parametrize("t, p", [(4e4, 20_000), (1e5, 99_999), (1.5e6, 10**6)])
     def test_uncertified_ratio_stays_exact_within_budget(self, t, p):
         # the product answers each of these ratios within its budget, and auto gives its
-        # probability: by the product bit for bit where the cost rule keeps it (20k and
-        # 100k factors), by the series where the rule passes 1e6 factors on (order 58)
+        # probability: by the product bit for bit where the wall keeps it (100k factors), by
+        # the series where the cost rule passes 20k and 1e6 factors on (orders 35 and 58)
         e = collision_probability(t, p, "exact")
         r = collision_probability(t, p)
-        assert r.method == _auto_route(t, p) == ("series" if p == 10**6 else "exact")
+        assert r.method == _auto_route(t, p) == ("exact" if p == 99_999 else "series")
         assert r.probability.hex() == e.probability.hex()
         if r.method == "exact":
             assert r.log_survival.hex() == e.log_survival.hex()
@@ -791,23 +792,22 @@ class TestAutoCrossover:
 
     def test_series_over_a_budget_below_the_switch(self):
         # auto keeps this product whatever the budget: a budget below its 1199 factors
-        # refuses it and names the series, which answers it at order 7
-        assert collision_probability(1e5, 1200).method == "exact"
+        # refuses it and names the series, which answers it at order 13
+        assert collision_probability(1e4, 1200).method == "exact"
         with pytest.raises(IterationBudgetError, match="1199 factors, over the budget of 1000; "
-                                                       "p/t = 0.012, so use the series method"):
-            collision_probability(1e5, 1200, exact_budget=1000)
-        r = collision_probability(1e5, 1200, "series")
-        assert (r.method, r.order) == ("series", 7)
-        truth = fsum_survival_log(1e5, 1200)
+                                                       "p/t = 0.12, so use the series method"):
+            collision_probability(1e4, 1200, exact_budget=1000)
+        r = collision_probability(1e4, 1200, "series")
+        assert (r.method, r.order) == ("series", 13)
+        truth = fsum_survival_log(1e4, 1200)
         assert abs(r.log_survival - truth) <= 1e-12 * abs(truth)
 
     @pytest.mark.parametrize("t", [4e4, 1e5, 10**6, 2**24, 1e7, 1.6e8])
     def test_monotone_across_the_switch(self, t):
-        # every flip up to just past the wall, zero tolerance: at the ratio switch 1e-4, where
-        # the cost rule hands the product to the series, where it hands it back as the
-        # predicted order grows towards the wall (up to t ~ 1.3e7: 0.83 at t = 1e6, 0.948
-        # at 1e7), and at the wall above that.  At 1.6e8 the product at the wall walks
-        # 1.53e8 factors, past the default budget.
+        # every flip up to just past the wall, zero tolerance: where the cost rule hands the
+        # series back to the product as the predicted order grows towards the wall (up to
+        # t ~ 1.2e5: 0.864 at t = 4e4, 0.947 at 1e5), and at the wall above that.  At 1.6e8
+        # the product at the wall walks 1.53e8 factors, past the default budget.
         budget = {"exact_budget": 2 * 10**8} if t > 1e8 else {}
         flips = _route_flips(t, int(WALL * t) + 2)
         assert flips
@@ -818,11 +818,11 @@ class TestAutoCrossover:
             assert a.log_survival >= b.log_survival, p
 
     def test_monotone_and_within_bounds_across_every_flip(self):
-        # every p up to 2e6 or the wall where auto changes route, for t from 1e3 to 1e12:
+        # every p up to 2e6 or the wall where auto changes route, for t from 10 to 1e7:
         # zero tolerance across the flip, and both answers next to it within their bounds
         # of the fsum oracle
         rng = random.Random(20261018)
-        ts = [1e6] + [10 ** (3 + (i + rng.random()) / 4) for i in range(36)]  # a quarter decade each
+        ts = [1e4] + [10 ** (1 + (i + rng.random()) / 8) for i in range(48)]  # an eighth decade each
         flips = [(t, p) for t in ts for p in _route_flips(t, min(WALL * t + 2, 2e6))]
         assert len(flips) >= 25 and any(p / t >= 0.5 for t, p in flips)
         for t, p in flips:
@@ -837,8 +837,9 @@ class TestAutoCrossover:
 
     def test_no_product_below_the_wall_passes_the_cost_rule_at_its_cap(self):
         # wherever auto takes the product below the wall, it walks at most
-        # 48 * 512**2 + 200 factors, whatever t
-        cap = 48 * collision._MAX_ORDER**2 + 200
+        # C (512 - k0) = 220 * 506 factors, whatever t
+        cap = auto_exact_limit(1, WALL)  # k = 512 at the wall
+        assert cap == pytest.approx(220 * 506, rel=1e-9)
         rng = random.Random(26)
         products, series = [], 0
         for _ in range(4000):
@@ -850,7 +851,10 @@ class TestAutoCrossover:
                 else:
                     products.append(p - 1)
                     assert p - 1 <= cap, (t, p)
-        assert series >= 3000 and len(products) >= 400 and max(products) > 10**6, (series, max(products))
+        assert series >= 3000 and len(products) >= 200, (series, len(products))
+        # the longest product below the wall: p - 1 just short of C (512 - k0) factors at t = 1.15e5
+        p = math.ceil(WALL * 1.15e5) - 1
+        assert _auto_route(1.15e5, p) == "exact" and 0.98 * cap < p - 1 <= cap, p
         # above 1/2, products of 1e6 and 1e8 factors are past the rule: auto takes the series
         for t, p in ((2e8, 10**8), (1.5e6, 10**6)):
             r = collision_probability(t, p)
@@ -858,6 +862,16 @@ class TestAutoCrossover:
             assert r.method == "series" and r.probability == 1.0 == -math.expm1(truth), (t, p)
             assert abs(r.log_survival - truth) <= 2e-13 * abs(truth), (t, p)
         assert collision_probability(1.5e6, 10**6, "exact").probability == 1.0
+
+    def test_a_long_product_near_the_wall_takes_the_series(self):
+        # the 48 k**2 + 200 rule kept the product here, 9,479,103 factors in ~38 ms, where
+        # the series answers at order 394 in well under a millisecond
+        t, p = 1e7, 9_479_104
+        r = collision_probability(t, p)
+        truth = lgamma_survival_log(t, p)
+        assert (r.method, r.order) == ("series", 394)
+        assert abs(r.log_survival - truth) <= 2e-13 * abs(truth)
+        assert abs(r.probability + math.expm1(truth)) <= r.abs_error_bound
 
 
 WALL = collision._SERIES_MAX_RATIO
@@ -881,7 +895,7 @@ class TestSeriesWall:
 
     def test_order_less_calls_below_the_wall_are_within_bounds_of_mpmath(self):
         # auto and the explicit series, alternately, at t log-uniform in [1e2, 1e30] and p/t
-        # uniform in [1/2, wall); auto takes the product for the short ones (t below ~1.3e7)
+        # uniform in [1/2, wall); auto takes the product for the short ones (t below ~1.2e5)
         rng = random.Random(23)
         calls = 0
         for _ in range(320):
@@ -912,9 +926,12 @@ class TestSeriesWall:
     def test_monotone_across_the_budget_switch(self, budget):
         # p - 1 = budget is the last product auto walks; one more draw passes the budget and
         # is refused, not rerouted, and the series that the refusal names answers it: zero
-        # tolerance from the last product to that series answer
+        # tolerance from the last product to that series answer, at each ratio where the
+        # cost rule keeps the product (for 1e4 factors, from p/t ~ 0.625)
         p = budget + 2
-        for x in (0.5, 0.6, 0.75, 0.9, 0.95, 0.954):
+        xs = [x for x in (0.5, 0.6, 0.75, 0.9, 0.95, 0.954) if p - 1 <= auto_exact_limit(p / x, p)]
+        assert len(xs) >= 4
+        for x in xs:
             t = p / x
             a = collision_probability(t, p - 1, exact_budget=budget)
             with pytest.raises(IterationBudgetError, match="so use the series method instead$"):

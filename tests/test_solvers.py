@@ -30,11 +30,11 @@ P_HALF_2POW47 = 13_967_949
 # frozen: smallest p with B(2^47, p) >= 0.997
 P_997_2POW47 = 40_436_720
 
-# frozen: between the 60-digit mpmath values of B(1e6, 1180) =
-# 0.501366365392562329... and B(1e6, 1181) = 0.501954753081399105..., the
-# last population auto evaluates with the exact product at t = 1e6 and the
-# first it evaluates with the series
-X_AUTO_SWITCH_1E6 = 0.5017
+# frozen: between the 60-digit mpmath values of B(1e4, 156) =
+# 0.703383681438768649... and B(1e4, 157) = 0.708010896008323858..., the
+# last population auto evaluates with the series at t = 1e4 and the first it
+# evaluates with the exact product
+X_AUTO_SWITCH_1E4 = 0.7057
 
 # frozen: 50-digit solutions of B(t, 8.2e9) = x
 SPACE_25_PERCENT = 1.1686512027e20
@@ -116,11 +116,11 @@ class TestSolvePopulation:
         assert collision_probability(t, p - 1).probability < target
 
     def test_minimal_where_the_answer_crosses_the_auto_switch(self):
-        p = solve_population(10**6, SolveTarget(X_AUTO_SWITCH_1E6))
-        assert p == 1181
-        below, at = collision_probability(10**6, p - 1), collision_probability(10**6, p)
-        assert (below.method, at.method) == ("exact", "series")
-        assert below.probability < X_AUTO_SWITCH_1E6 <= at.probability
+        p = solve_population(10**4, SolveTarget(X_AUTO_SWITCH_1E4))
+        assert p == 157
+        below, at = collision_probability(10**4, p - 1), collision_probability(10**4, p)
+        assert (below.method, at.method) == ("series", "exact")
+        assert below.probability < X_AUTO_SWITCH_1E4 <= at.probability
 
     def test_minimum_is_two(self):
         # any target is met by p = 2 when the space is a single value... but

@@ -17,7 +17,7 @@ checkouts, each run in its own process:
 
 Cover (default ``--calls 10000``): 4,000 auto, 3,000 exact and 3,000 series
 calls with t in [1, 1e30], random budgets on the exact calls and random orders
-on the series calls, 70 calls at the edges,
+on the series calls, 75 calls at the edges,
 ``calls // 10`` solves of each kind and one over 1.5 values, the bundled table at
 2^36, 2^47, 1e12 and 2^64, and in each of the CLI's three formats 11 fixed runs
 (the frozen-output argvs of tests/test_cli.py, the table on the bundled cities;
@@ -55,7 +55,9 @@ _EXACT_CAP = 10**6
 
 # Calls at the edges: one of each refusal (a series refusal past the product's budget too),
 # auto's switches, the series' wall (p/t ~ 0.95464) and the pigeonhole wall hit exactly, auto
-# above 1/2 where the product would walk 1e6 and 1e8 factors, a product refused by its budget;
+# above 1/2 where the product would walk 1e6 and 1e8 factors, either side of its cost rule's
+# flip at t = 1e4 and 4e4, at (1e7, 9_479_104), where an earlier rule walked 9.5e6 factors, a
+# product refused by its budget;
 # spaces on either side of each of the space reader's checks, numpy's float among them, also
 # at the pigeonhole wall; and the series scan's seams:
 # explicit orders 2, 3, 4 and 512, order-less scans at p = 2 and 3 (direct sums from order 4),
@@ -78,6 +80,8 @@ _EDGES = [
     ((1000, 954, "series"), {}), ((1000, 955, "series"), {}),
     ((1000, 954), {"exact_budget": 10}), ((1000, 955), {"exact_budget": 10}),
     ((2e8, 10**8), {}), ((1.5e6, 10**6), {}), ((1e5, 1200), {"exact_budget": 1000}),
+    ((1e4, 156), {}), ((1e4, 157), {}), ((4e4, 34_553), {}), ((4e4, 34_554), {}),
+    ((1e7, 9_479_104), {}),
     ((1e20, 10**20, "series"), {}),
     ((int(1e30), 5), {}), ((int(1e30) + 1, 5), {}), ((10**30 + 1, 5), {}), ((1e30, 5), {}),
     ((0.5, 5), {}), ((-5, 5), {}), ((float("inf"), 5), {}), ((np.int64(365), 5), {}),
@@ -145,7 +149,7 @@ def _forward_calls(rng, calls):
     for i in range(calls):
         share = i / calls
         t = _space(rng)
-        if share < 0.4:  # auto at p/t from 1e-14 to 2, and at each of its three switches
+        if share < 0.4:  # auto at p/t from 1e-14 to 2, with more draws near 1e-4, 1/2 and its cost switch
             ratio = rng.choice([10 ** rng.uniform(-14, 0.3), 10 ** rng.uniform(-4.3, -3.7),
                                 rng.uniform(0.4, 0.6), 10 ** rng.uniform(-4, -0.3)])
             if ratio < 0.5 and rng.random() < 0.4:  # the cost switch: p up to 6e4
