@@ -135,7 +135,7 @@ def _as_space(t) -> float:
 
 def as_space_size(t) -> SpaceSize:
     """Coerce an int (numpy's too), float, or SpaceSize into a validated SpaceSize."""
-    return t if isinstance(t, SpaceSize) else SpaceSize(_as_space(t))
+    return t if isinstance(t, SpaceSize) else _frozen(SpaceSize, {"value": _as_space(t)})
 
 
 def _power(base: int, exp: int) -> int:
@@ -190,21 +190,16 @@ class EvalResult:
 
 
 def _frozen(cls, fields: dict):
-    """A frozen dataclass instance built from ``fields`` without ``__init__``.
-
-    The generated ``__init__`` of a frozen dataclass makes one
-    ``object.__setattr__`` call per field; one ``__dict__`` fill is about a
-    third of that.  Skips ``__post_init__``: only for fields already checked.
-    """
+    """A frozen dataclass instance whose ``__dict__`` is the fresh dict ``fields``: one
+    ``object.__setattr__`` call, where the generated ``__init__`` makes one per field.
+    Skips ``__post_init__``: only for fields already checked."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    object.__setattr__(obj, "__dict__", fields)
     return obj
 
 
 def _result_from_log(v: float, method: str, bound: float, order=None) -> EvalResult:
-    prob = -math.expm1(v)
-    if prob == 0.0:
-        prob = 0.0  # normalize -0.0
+    prob = 0.0 - math.expm1(v)  # +0.0 where -expm1(v) is -0.0, else the same bits
     return _frozen(EvalResult, {"probability": prob, "log_survival": v, "method": method,
                                 "abs_error_bound": bound, "order": order})
 
@@ -286,11 +281,14 @@ def _series_scan(t: float, p: int, order=None):
     s1 = m * (m + 1) // 2
     terms = [float(s1) / t, float(s1 * (2 * m + 1) // 3) / (2 * t**2)]
     omitted, geom = float(s1 * s1) / (3 * t**3), 1.0 / (1.0 - p / t)
+    # The stop test reads a plain running sum (builtin sum() compensates since Python 3.12, and the
+    # stop order must not depend on the Python version); at order 2 it is fsum's, correctly rounded.
+    running = terms[0] + terms[1]
+    if not (order or omitted * geom > _ROUNDING_UNIT * running):
+        return -running, omitted * geom, 2, [*terms, omitted]
     mf = float(m)
     y, m2 = mf / t, mf * mf
-    # k is the order of the omitted term.  The stop test reads a plain running sum: builtin
-    # sum() compensates since Python 3.12, and the stop order must not depend on the Python version.
-    running, k, last = terms[0] + terms[1], 3, (order or _MAX_ORDER) + 1
+    k, last = 3, (order or _MAX_ORDER) + 1  # k is the order of the omitted term
     while k != last and (order or omitted * geom > _ROUNDING_UNIT * running):
         terms.append(omitted)
         running += omitted
@@ -350,7 +348,8 @@ def collision_probability(
     """
     t = _as_space(t)
     p = _as_count(p)
-    exact_budget = _as_count(exact_budget, "exact budget")
+    if exact_budget is not DEFAULT_EXACT_BUDGET:  # the default needs no reading
+        exact_budget = _as_count(exact_budget, "exact budget")
     if method not in (EXACT, SERIES, AUTO):
         raise DomainError(f"method must be one of exact/series/auto, got {_shown(method)}")
     if order is not None:
@@ -364,9 +363,9 @@ def collision_probability(
     if p <= 1 or p - 1 >= t:
         return _result_from_log(0.0 if p <= 1 else -math.inf, EXACT, 0.0)
 
-    route, ratio = _pick(t, p) if method == AUTO else method, p / t
+    route = _pick(t, p) if method == AUTO else method
     if route == SERIES:
-        if ratio >= _SERIES_MAX_RATIO:  # only an explicit series call gets here
+        if method == SERIES and (ratio := p / t) >= _SERIES_MAX_RATIO:  # auto picks no series here
             advice = ("use the exact method" if p - 1 <= exact_budget else f"the product's {p - 1} "
                       f"factors are over the budget of {exact_budget} too: neither route answers")
             raise SeriesBoundError(f"p/t = {ratio:.4g} is at least {_SERIES_MAX_RATIO:.4g}, where the "
@@ -375,9 +374,9 @@ def collision_probability(
         bound = _prob_bound(value, tail)
     else:
         if p - 1 > exact_budget:  # the one over-budget refusal, under auto too
-            advice = ("so use the series method instead" if ratio < _SERIES_MAX_RATIO
+            advice = ("so use the series method instead" if p / t < _SERIES_MAX_RATIO
                       else "too large for the series")
             raise IterationBudgetError(f"exact product needs {p - 1} factors, over the budget of "
-                                       f"{exact_budget}; p/t = {ratio:.3g}, {advice}")
+                                       f"{exact_budget}; p/t = {p / t:.3g}, {advice}")
         value, bound = _survival_log_product(t, p), 0.0
     return _result_from_log(value, route, bound, order)

@@ -21,7 +21,6 @@ declared canonical.
 import csv
 import io
 import os
-import re
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -61,10 +60,9 @@ BUNDLED_DATASETS = ("us_cities",)
 
 _DELIMITERS = (",", "\t", ";")
 
-# group-separated non-negative integer: digits possibly broken by commas,
-# underscores, or stray spaces ("8,419,600", "565, 239", "1_000")
-_GROUPED_INT = re.compile(r"\+?\d[\d,_ ]*")
-_DROP_SEPARATORS = str.maketrans("", "", ",_ +")
+# a grouped integer, quoted or not: an optional "+", a decimal digit (any script's, as int() reads
+# them), then digits broken by commas, underscores or stray spaces ("8,419,600", "565, 239", "1_000")
+_DROP_SEPARATORS = str.maketrans("", "", ",_ ")
 
 
 class IngestError(DomainError):
@@ -176,10 +174,11 @@ def rop_table(records, space) -> "list[RopEntry]":
 # --- tabular ingestion ------------------------------------------------------
 
 def _parse_grouped_int(text: str) -> int:
-    cleaned = text.strip().strip('"').strip()
-    if not cleaned or not _GROUPED_INT.fullmatch(cleaned):
+    cleaned = text.strip().strip('"').strip().removeprefix("+")
+    digits = cleaned.translate(_DROP_SEPARATORS)
+    if not (cleaned[:1].isdecimal() and digits.isdecimal()):
         raise ValueError(f"not a whole number: {text!r}")
-    return int(cleaned.translate(_DROP_SEPARATORS))
+    return int(digits)
 
 
 def _cells(line: str, delimiter: str) -> "list[str]":
@@ -219,24 +218,22 @@ def parse_populations(text: str, *, delimiter=None) -> "list[PopulationRecord]":
     except csv.Error as err:  # a quoted cell longer than csv.field_size_limit()
         raise IngestError(f"line {header_no}: {err}") from None
     try:
-        name_col = header.index("name")
-        pop_col = header.index("population")
+        name_col, pop_col = header.index("name"), header.index("population")
     except ValueError:
-        raise IngestError(
-            f"line {header_no}: header must name both a 'name' and a 'population' "
-            f"column, got {header!r}"
-        ) from None
+        raise IngestError(f"line {header_no}: header must name both a 'name' and a 'population' "
+                          f"column, got {header!r}") from None
 
     records = []
     errors = []
     seen = {}
+    last_col = max(name_col, pop_col)
     for line_no, line in numbered[1:]:
         try:
             cells = _cells(line, delimiter)
         except csv.Error as err:
             errors.append(f"line {line_no}: {err}")
             continue
-        if len(cells) <= max(name_col, pop_col):
+        if len(cells) <= last_col:
             errors.append(f"line {line_no}: expected {len(header)} columns, got {len(cells)}")
             continue
         name = cells[name_col].strip()

@@ -65,8 +65,11 @@ class SolveTarget:
         object.__setattr__(self, "tolerance", _as_share(self.tolerance, "tolerance"))
 
 
-def _as_target(target) -> SolveTarget:
-    return target if isinstance(target, SolveTarget) else SolveTarget(target)
+def _goal(target) -> "tuple[float, float]":
+    """A SolveTarget's probability and tolerance; a plain one is read as SolveTarget reads it."""
+    if isinstance(target, SolveTarget):
+        return target.target_prob, target.tolerance
+    return _as_share(target, "target probability"), SolveTarget.tolerance
 
 
 def _prob(t, p) -> float:
@@ -109,7 +112,7 @@ def solve_population(t, target) -> int:
     target under that evaluator.
     """
     space = as_space_size(t)
-    goal = _as_target(target).target_prob
+    goal, _ = _goal(target)
 
     # The guaranteed-repeat cutoff bounds the search: probability is 1 there,
     # at the first p with p - 1 >= t.
@@ -150,8 +153,7 @@ def solve_space(p, target) -> SpaceSize:
     above the target.
     """
     p = _as_count(p, low=2)
-    goal = _as_target(target)
-    x = goal.target_prob
+    x, tolerance = _goal(target)
 
     # p - 1 >= 1e30 forces a repeat in every supported space; pair_count(p), and p
     # itself, may overflow a float there, so t0 = inf stands in
@@ -170,7 +172,7 @@ def solve_space(p, target) -> SpaceSize:
     # secant probes from t0, then two at r(1 -+ w) around their root r (w is an ulp at least,
     # so both differ from r), narrow the probed pair ends = [b, a], prob(a) >= x > prob(b);
     # monotonicity decides every midpoint outside (a, b)
-    ends, w = [hi, lo], max(goal.tolerance / 16, math.ulp(1.0))
+    ends, w = [hi, lo], max(tolerance / 16, math.ulp(1.0))
     r = _secant(lambda t: collision_probability(t, p), x, t0, -1.0, ends,
                 lambda t, r: r if abs(r - t) > w * t else math.nan)
     for c in (r * (1 - w), r * (1 + w)):
@@ -178,7 +180,7 @@ def solve_space(p, target) -> SpaceSize:
             ends[_prob(c, p) >= x] = c
     # invariant: prob(lo) >= x >= prob(hi)  (probability falls as t grows); it stops
     # where no float lies strictly between lo and hi, whatever the tolerance
-    while hi - lo > goal.tolerance * lo and lo < (mid := math.sqrt(lo * hi)) < hi:
+    while hi - lo > tolerance * lo and lo < (mid := math.sqrt(lo * hi)) < hi:
         if mid <= ends[1] or mid < ends[0] and _prob(mid, p) >= x:
             lo = mid
         else:

@@ -21,7 +21,7 @@ def test_bitsweep_digest_is_that_of_its_dumped_records():
     *records, last = out.stdout.splitlines()
     match = re.fullmatch(r"(\d+) records, sha256 ([0-9a-f]{64})", last)
     assert match, last
-    # 300 calls, 75 at the edges, 1 + 3 x 30 solves, 4 x 22 table rows, and 11 fixed and
-    # 3 seeded CLI runs in 3 formats each
-    assert int(match[1]) == len(records) == 300 + 75 + 1 + 90 + 88 + 3 * (11 + 3)
+    # 300 calls, 75 at the edges, 1 + 3 x 30 solves, 4 x 22 table rows, 6 generated tables
+    # read, 3 of them in 2 spaces x 8 rows, and 11 fixed and 3 seeded CLI runs in 3 formats each
+    assert int(match[1]) == len(records) == 300 + 75 + 1 + 90 + 88 + 6 + 3 * 2 * 8 + 3 * (11 + 3)
     assert match[2] == hashlib.sha256("".join(r + "\n" for r in records).encode("utf-8")).hexdigest()

@@ -321,6 +321,29 @@ class TestPowerSum:
             _, _, k, terms = _series_scan(t, p)
             assert len(terms) == k + 1, (t, p)
 
+    def test_order_less_scans_that_stop_at_order_2_are_the_order_2_scan(self):
+        # on a seeded grid with p/t from 1e-18 to 1e-3, an order-less scan that stops at once
+        # returns early, before any Faulhaber set-up, and gives what the scan fixed at order 2,
+        # which takes the loop's path, returns: value, tail, order and terms, by hex; its value,
+        # a plain sum of two terms, is the correctly rounded sum fsum gives
+        def bits(scan):
+            value, tail, k, terms = scan
+            return value.hex(), tail.hex(), k, [term.hex() for term in terms]
+
+        rng = random.Random(3030)
+        stops = 0
+        for _ in range(3000):
+            p = round(10 ** rng.uniform(0.31, 12))
+            t = p / 10 ** rng.uniform(-18, -3)
+            if t > 1e30:
+                continue
+            scan = _series_scan(t, p)
+            if scan[2] == 2:
+                stops += 1
+                assert bits(scan) == bits(_series_scan(t, p, 2)), (t, p)
+                assert scan[0] == -math.fsum(scan[3][:2]), (t, p)
+        assert stops >= 1500
+
     def test_concurrent_cold_scans_match_a_single_thread(self):
         # four threads share some populations and keep others to themselves,
         # order-less and at explicit orders up to 80; every answer, its tail, order

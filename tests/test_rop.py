@@ -11,6 +11,7 @@ import dataclasses
 import io
 import math
 import random
+import re
 import sys
 import time
 
@@ -437,6 +438,28 @@ class TestGroupedDigits:
         shown = ["'1.5'", "'-3'", "'1e3'", "'12a'", "''"]
         assert str(exc.value) == "; ".join(
             f"line {line}: not a whole number: {cell}" for line, cell in enumerate(shown, start=3))
+
+    def test_reader_accepts_what_the_grouped_int_pattern_accepts(self):
+        # the oracle is the pattern the reader once used: a cell is read when, stripped of
+        # outer whitespace and quotes, it matches whole, and then to the int its digits spell.
+        # Arabic-Indic and fullwidth digits are decimal digits to both; '²' is a digit to neither
+        pattern = re.compile(r"\+?\d[\d,_ ]*")
+        alphabet = ["0", "1", "7", "9", "٣", "１", "²", "+", "-", ",", "_", " ", '"', "'", "\t", "\xa0"]
+        weights = [4, 4, 4, 4, 2, 2, 1, 1, 1, 2, 2, 2, 1, 1, 1, 1]
+        rng = random.Random(2030)
+        read = 0
+        for _ in range(40_000):
+            cell = "".join(rng.choices(alphabet, weights, k=rng.randint(0, 9)))
+            stripped = cell.strip().strip('"').strip()
+            want = (int(re.sub("[+,_ ]", "", stripped)) if pattern.fullmatch(stripped) else None)
+            try:
+                got = rop_module._parse_grouped_int(cell)
+            except ValueError as err:
+                assert str(err) == f"not a whole number: {cell!r}"
+                got = None
+            assert got == want, cell
+            read += got is not None
+        assert 8_000 < read < 32_000
 
 
 # names on one line with no outer whitespace, often led by a character the CSV reader treats

@@ -19,7 +19,12 @@ Cover (default ``--calls 10000``): 4,000 auto, 3,000 exact and 3,000 series
 calls with t in [1, 1e30], random budgets on the exact calls and random orders
 on the series calls, 75 calls at the edges,
 ``calls // 10`` solves of each kind and one over 1.5 values, the bundled table at
-2^36, 2^47, 1e12 and 2^64, and in each of the CLI's three formats 11 fixed runs
+2^36, 2^47, 1e12 and 2^64, ``calls // 50`` seeded generated tables read by
+``parse_populations`` (every delimiter, and every grouping style of a population:
+plain, ``1_000``, ``1,000`` and ``"1, 000"``), three clean ones and then three
+with random junk cells in turn, each recorded as read or refused, the clean ones
+also at 2^47 and at a seeded space through ``rop_table``, and in each of the
+CLI's three formats 11 fixed runs
 (the frozen-output argvs of tests/test_cli.py, the table on the bundled cities;
 ``rop-table -t 1e9``; a curve refused in its middle; a 2,049-sample curve; a curve
 to 2^60 + 1) and ``calls // 100`` seeded curves of up to 1,000 samples.  Takes
@@ -42,6 +47,7 @@ from ropcalc import (
     SpaceSize,
     collision_probability,
     load_bundled_cities,
+    parse_populations,
     rop_table,
     solve_population,
     solve_space,
@@ -110,6 +116,12 @@ _CLI_ARGVS = [
     ["curve", "-t", "2^47", "--p-max", "4e7", "--samples", "2049"],
     ["curve", "-t", "1e30", "--p-max", "1,152,921,504,606,846,977", "--samples", "3"],
 ]
+
+
+# Generated tables: names, and the characters a junk population cell is drawn from, among them
+# digits of other scripts (Arabic-Indic, fullwidth) that int() reads and a superscript it does not.
+_NAMES = ("Ash", "Brook", "Cedar", "Dale", "Elm", "Fern")
+_JUNK = ("1", "7", "٣", "１", "²", "+", "-", ",", "_", " ", '"', "'", "\xa0", "x")
 
 
 def _field(value) -> str:
@@ -181,6 +193,40 @@ def _curve_argvs(rng, curves):
         yield ["curve", "-t", str(t), "--p-max", str(p_max), "--samples", str(samples)]
 
 
+def _table_text(rng, delimiter, junk):
+    """A seeded city-style table: a comment, a header with an extra column in a random order,
+    and 8 rows whose populations take the 4 grouping styles in turn, now and then led by '+',
+    quoted where they hold the delimiter and at random elsewhere; with ``junk``, about a third
+    of the population cells are random strings instead."""
+    columns = ["name", "region", "population"]
+    rng.shuffle(columns)
+    lines = ["# generated population table", delimiter.join(columns)]
+    for i in range(8):
+        n = round(10 ** rng.uniform(0, 7)) if rng.random() < 0.9 else rng.randint(0, 1)
+        commas = f"{n:,}"
+        cell = ("+" if rng.random() < 0.1 else "") + (str(n), f"{n:_}", commas,
+                                                      commas.replace(",", ", ", 1))[i % 4]
+        if delimiter in cell or rng.random() < 0.2:
+            cell = f'"{cell}"'
+        if junk and rng.random() < 0.3:
+            cell = "".join(rng.choice(_JUNK) for _ in range(rng.randint(0, 6)))
+        row = {"name": f"{rng.choice(_NAMES)} {i}", "region": rng.choice("NESW"), "population": cell}
+        lines.append(delimiter.join(row[c] for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def _table_rows(records, space):
+    """The rows of one table over one space, or its refusal."""
+    entries = _answer(rop_table, records, space)
+    if not isinstance(entries[0], list):
+        yield ["table", space, *entries]
+        return
+    for entry in entries[0]:
+        rec, res = entry.record, entry.result
+        yield ["table", space, rec.name, rec.population, res.probability, res.log_survival,
+               res.method, res.abs_error_bound, res.order, entry.display]
+
+
 def _records(seed, calls):
     """Every record of the sweep, each a list of fields."""
     rng = random.Random(seed)
@@ -196,10 +242,14 @@ def _records(seed, calls):
         yield ["world", percent, world, *_answer(space_for_world_overlap, percent, world)]
     cities = load_bundled_cities()
     for space in (2**36, 2**47, 1e12, 2**64):
-        for entry in rop_table(cities, space):
-            rec, res = entry.record, entry.result
-            yield ["table", space, rec.name, rec.population, res.probability, res.log_survival,
-                   res.method, res.abs_error_bound, res.order, entry.display]
+        yield from _table_rows(cities, space)
+    for i in range(calls // 50):  # the delimiters in turn, three clean tables then three junk
+        text = _table_text(rng, (",", "\t", ";")[i % 3], junk=i // 3 % 2 == 1)
+        records = _answer(parse_populations, text)
+        yield ["ingest", text, *records]
+        if i // 3 % 2 == 0:
+            for space in (2**47, _space(rng)):
+                yield from _table_rows(records[0], space)
     for argv in [*_CLI_ARGVS, *_curve_argvs(rng, calls // 100)]:
         for fmt in ("text", "csv", "json"):
             yield ["cli", *argv, fmt, *_cli([*argv, "--format", fmt])]
